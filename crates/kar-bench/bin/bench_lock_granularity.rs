@@ -1,9 +1,11 @@
-//! Lock-granularity sweep: contended producers (coarse vs per-partition
-//! broker locks, single vs batched appends) and skewed actors (dispatch-
-//! shard work stealing off vs on).
+//! Lock-granularity sweep: contended producers on per-partition broker
+//! locks (single vs batched appends) and skewed actors balanced by
+//! dispatch-shard work stealing.
 //!
 //! Prints both tables and writes `BENCH_lock_granularity.json` to the
-//! current directory.
+//! current directory. Exits 1 if the skewed workload did not balance (no
+//! steal, or the hottest shard at or above `MAX_SKEWED_LOAD_RATIO` times
+//! the mean).
 //!
 //! Usage:
 //!   cargo run --release -p kar-bench --bin bench_lock_granularity [out.json]
@@ -13,8 +15,8 @@
 //! uses it to surface lock-ordering regressions and deadlocks.
 
 use kar_bench::lock_granularity::{
-    contended_row, contended_sweep, fine_over_coarse, skewed_row, skewed_sweep, to_json,
-    ContendedConfig, SkewedConfig,
+    contended_row, contended_sweep, measure_skewed, skewed_balanced, skewed_row, to_json,
+    ContendedConfig, SkewedConfig, MAX_SKEWED_LOAD_RATIO,
 };
 
 fn main() {
@@ -34,17 +36,13 @@ fn main() {
         contended_config.batch_size,
     );
     println!(
-        "{:>7} {:>8} {:>9} {:>12} {:>14}",
-        "lock", "append", "records", "elapsed ms", "records/s"
+        "{:>8} {:>9} {:>12} {:>14}",
+        "append", "records", "elapsed ms", "records/s"
     );
     let contended = contended_sweep(&contended_config);
     for report in &contended {
         println!("{}", contended_row(report));
     }
-    println!(
-        "fine-grained over coarse (single appends): {:.2}x",
-        fine_over_coarse(&contended)
-    );
 
     println!(
         "\nSkewed actors: {} actors on {}/{} shards, {} calls each, {}us service time",
@@ -55,12 +53,18 @@ fn main() {
         skewed_config.service_time.as_micros(),
     );
     println!(
-        "{:>9} {:>8} {:>12} {:>12} {:>13} {:>7} {:>7} {:>8}",
-        "stealing", "calls", "elapsed ms", "calls/s", "max/mean", "steals", "hits", "misses"
+        "{:>8} {:>12} {:>12} {:>13} {:>7} {:>7} {:>8}",
+        "calls", "elapsed ms", "calls/s", "max/mean", "steals", "hits", "misses"
     );
-    let skewed = skewed_sweep(&skewed_config);
-    for report in &skewed {
-        println!("{}", skewed_row(report));
+    let skewed = measure_skewed(&skewed_config);
+    println!("{}", skewed_row(&skewed));
+    if !skewed_balanced(&skewed) {
+        eprintln!(
+            "FAIL: skewed actors did not balance: {} steals, max/mean {:.2} \
+             (gate: > 0 steals, max/mean < {MAX_SKEWED_LOAD_RATIO})",
+            skewed.steals, skewed.max_over_mean
+        );
+        std::process::exit(1);
     }
 
     if smoke {

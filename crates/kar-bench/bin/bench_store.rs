@@ -1,6 +1,6 @@
-//! State-plane sweep: contended mixed get/set/cas (coarse vs sharded store
-//! locks, per-command vs pipelined) and actor state flush (round trips per
-//! invocation with the actor-state cache off vs on).
+//! State-plane sweep: contended mixed get/set/cas on the sharded store
+//! (per-command vs pipelined) and actor state flush (store round trips per
+//! invocation through the actor-state cache).
 //!
 //! Prints both tables and writes `BENCH_store.json` to the current
 //! directory.
@@ -13,8 +13,7 @@
 //! uses it to surface state-plane lock regressions and deadlocks.
 
 use kar_bench::store::{
-    contended_store_row, contended_store_sweep, round_trip_reduction,
-    sharded_pipelined_over_coarse, state_flush_row, state_flush_sweep, to_json,
+    contended_store_row, contended_store_sweep, measure_state_flush, state_flush_row, to_json,
     ContendedStoreConfig, StateFlushConfig,
 };
 
@@ -36,17 +35,13 @@ fn main() {
         contended_config.value_bytes,
     );
     println!(
-        "{:>7} {:>9} {:>8} {:>12} {:>12} {:>12} {:>10}",
-        "lock", "api", "ops", "elapsed ms", "ops/s", "round trips", "contended"
+        "{:>9} {:>8} {:>12} {:>12} {:>12} {:>10}",
+        "api", "ops", "elapsed ms", "ops/s", "round trips", "contended"
     );
     let contended = contended_store_sweep(&contended_config);
     for report in &contended {
         println!("{}", contended_store_row(report));
     }
-    println!(
-        "sharded+pipelined over coarse per-command: {:.2}x",
-        sharded_pipelined_over_coarse(&contended)
-    );
 
     println!(
         "\nActor state flush: {} actors x {} calls, {} fields/call, store latency {}us",
@@ -56,17 +51,11 @@ fn main() {
         flush_config.store_latency.as_micros(),
     );
     println!(
-        "{:>6} {:>12} {:>12} {:>10} {:>12} {:>10}",
-        "cache", "invocations", "round trips", "rt/invoc", "elapsed ms", "calls/s"
+        "{:>12} {:>12} {:>10} {:>12} {:>10}",
+        "invocations", "round trips", "rt/invoc", "elapsed ms", "calls/s"
     );
-    let flush = state_flush_sweep(&flush_config);
-    for report in &flush {
-        println!("{}", state_flush_row(report));
-    }
-    println!(
-        "state-cache round-trip reduction: {:.2}x fewer round trips per invocation",
-        round_trip_reduction(&flush)
-    );
+    let flush = measure_state_flush(&flush_config);
+    println!("{}", state_flush_row(&flush));
 
     if smoke {
         println!("\nsmoke mode: workloads completed without deadlock, no file written");

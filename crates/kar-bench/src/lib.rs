@@ -17,19 +17,19 @@
 //!   function of `dispatch_workers` (the `bench_messaging` binary emits
 //!   `BENCH_messaging.json` from it).
 //! * [`lock_granularity`] — the message-plane lock-granularity harness:
-//!   contended producers against coarse vs per-partition broker locks
-//!   (single and batched appends) and a skewed-actor workload with dispatch
-//!   work stealing off/on (the `bench_lock_granularity` binary emits
+//!   contended producers on per-partition broker locks (single and batched
+//!   appends) and a skewed-actor workload balanced by dispatch work
+//!   stealing (the `bench_lock_granularity` binary emits
 //!   `BENCH_lock_granularity.json`, and its `--smoke` mode runs in CI).
 //! * [`partitions`] — the partition-scaling harness: call throughput of one
 //!   component as its home-partition count grows from 1 to 8 under a
 //!   durable-ack-bound workload (the `bench_partitions` binary emits
 //!   `BENCH_partitions.json`, and its `--smoke` mode runs in CI).
-//! * [`store`] — the state-plane harness: contended mixed get/set/cas
-//!   against coarse vs sharded store locks (per-command and pipelined) and
-//!   an actor state-flush workload measuring store round trips per
-//!   invocation with the actor-state cache off/on (the `bench_store` binary
-//!   emits `BENCH_store.json`, and its `--smoke` mode runs in CI).
+//! * [`store`] — the state-plane harness: contended mixed get/set/cas on
+//!   the sharded store (per-command and pipelined) and an actor state-flush
+//!   workload measuring store round trips per invocation through the
+//!   actor-state cache (the `bench_store` binary emits `BENCH_store.json`,
+//!   and its `--smoke` mode runs in CI).
 //! * [`topology`] — the topology-scaling harness for the event-driven
 //!   invocation core: call throughput and resident reactor-thread count as
 //!   the mesh grows from a 1× to a 100× topology under a fixed reactor pool

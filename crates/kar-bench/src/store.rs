@@ -1,20 +1,17 @@
 //! State-plane benchmarks for the sharded, pipelined store.
 //!
-//! Two workloads quantify the PR-4 overhaul (sharded store, pipeline command
-//! API, per-activation actor-state cache):
+//! Two workloads measure the sharded store, its pipeline command API, and
+//! the per-activation actor-state cache:
 //!
 //! * **Contended mixed commands** (store level): N client threads run a
 //!   mixed get/set/cas workload concurrently, each over its own key space,
-//!   with a per-round-trip latency. The *coarse* rows run the same store
-//!   with `StoreConfig::coarse_global_lock` — the pre-overhaul single data
-//!   lock — and the *pipelined* rows batch commands through the `Pipeline`
-//!   API (one latency charge and one lock pass per batch). The headline
-//!   ratio is sharded+pipelined over coarse per-command.
+//!   with a per-round-trip latency. The per-command row pays one round trip
+//!   per command; the *pipelined* row batches commands through the
+//!   `Pipeline` API (one latency charge and one lock pass per batch).
 //! * **Actor state flush** (mesh level): actors write several state fields
-//!   per invocation. With the actor-state cache on, the runtime answers
-//!   reads from memory and flushes the writes as one pipelined round trip
-//!   before responding; with it off, every field access is its own store
-//!   command. The reported metric is store round trips per invocation.
+//!   per invocation. The runtime answers reads from the actor-state cache
+//!   and flushes the writes as one pipelined round trip before responding,
+//!   so the reported metric — store round trips per invocation — is 1.
 //!
 //! The `bench_store` binary runs both, prints the tables, and emits
 //! `BENCH_store.json`; `--smoke` runs a seconds-scale shrunken version in CI
@@ -37,9 +34,9 @@ pub struct ContendedStoreConfig {
     pub threads: usize,
     /// Commands each thread issues.
     pub ops_per_thread: usize,
-    /// Commands per pipeline flush in the pipelined rows.
+    /// Commands per pipeline flush in the pipelined row.
     pub batch_size: usize,
-    /// Round-trip latency per command (per flush in the pipelined rows).
+    /// Round-trip latency per command (per flush in the pipelined row).
     pub op_latency: Duration,
     /// Size of the string payload written by set/cas commands.
     pub value_bytes: usize,
@@ -77,8 +74,6 @@ impl ContendedStoreConfig {
 /// One row of the contended mixed-command table.
 #[derive(Debug, Clone)]
 pub struct ContendedStoreReport {
-    /// True when the pre-overhaul global store lock was emulated.
-    pub coarse: bool,
     /// True when commands went through the pipeline API.
     pub pipelined: bool,
     /// Total commands applied.
@@ -95,16 +90,10 @@ pub struct ContendedStoreReport {
 
 /// Runs the contended mixed workload once.
 pub fn measure_contended_store(
-    coarse: bool,
     pipelined: bool,
     config: &ContendedStoreConfig,
 ) -> ContendedStoreReport {
-    let store = Store::with_config(StoreConfig {
-        op_latency: config.op_latency,
-        shards: 0,
-        coarse_global_lock: coarse,
-        faults: None,
-    });
+    let store = Store::with_config(StoreConfig::with_op_latency(config.op_latency));
     let payload = "x".repeat(config.value_bytes);
     let started = Instant::now();
     let threads: Vec<_> = (0..config.threads)
@@ -162,37 +151,21 @@ pub fn measure_contended_store(
     let ops = config.threads * config.ops_per_thread;
     let stats = store.stats();
     ContendedStoreReport {
-        coarse,
         pipelined,
         ops,
         elapsed,
         ops_per_sec: ops as f64 / elapsed.as_secs_f64(),
         round_trips: stats.round_trips,
-        contended_locks: store.shard_contention().iter().sum::<u64>() + store.coarse_contention(),
+        contended_locks: store.shard_contention().iter().sum(),
     }
 }
 
-/// Runs all four rows: {coarse, sharded} × {per-command, pipelined}.
+/// Runs both rows: per-command, then pipelined.
 pub fn contended_store_sweep(config: &ContendedStoreConfig) -> Vec<ContendedStoreReport> {
     vec![
-        measure_contended_store(true, false, config),
-        measure_contended_store(true, true, config),
-        measure_contended_store(false, false, config),
-        measure_contended_store(false, true, config),
+        measure_contended_store(false, config),
+        measure_contended_store(true, config),
     ]
-}
-
-/// The headline gate: sharded+pipelined throughput over coarse per-command.
-pub fn sharded_pipelined_over_coarse(reports: &[ContendedStoreReport]) -> f64 {
-    let coarse = reports
-        .iter()
-        .find(|r| r.coarse && !r.pipelined)
-        .map_or(1.0, |r| r.ops_per_sec);
-    let best = reports
-        .iter()
-        .find(|r| !r.coarse && r.pipelined)
-        .map_or(1.0, |r| r.ops_per_sec);
-    best / coarse
 }
 
 // ---------------------------------------------------------------------
@@ -235,11 +208,9 @@ impl StateFlushConfig {
     }
 }
 
-/// One row of the actor state-flush table.
+/// The actor state-flush result.
 #[derive(Debug, Clone)]
 pub struct StateFlushReport {
-    /// Whether the actor-state cache was enabled.
-    pub cache: bool,
     /// Measured invocations.
     pub invocations: usize,
     /// Store round trips charged during the measured phase.
@@ -284,14 +255,14 @@ impl Actor for StateWriter {
 }
 
 /// Runs the state-flush workload once.
-pub fn measure_state_flush(cache: bool, config: &StateFlushConfig) -> StateFlushReport {
-    let latency = LatencyProfile {
-        store_op: config.store_latency,
-        ..LatencyProfile::ZERO
-    };
-    let mut mesh_config = MeshConfig::for_tests().with_actor_state_cache(cache);
-    mesh_config.latency = latency;
-    let mesh = Mesh::new(mesh_config);
+pub fn measure_state_flush(config: &StateFlushConfig) -> StateFlushReport {
+    let mesh = Mesh::new(MeshConfig {
+        latency: LatencyProfile {
+            store_op: config.store_latency,
+            ..LatencyProfile::ZERO
+        },
+        ..MeshConfig::for_tests()
+    });
     let node = mesh.add_node();
     let fields = config.fields_per_call;
     mesh.add_component(node, "state-server", move |c| {
@@ -331,37 +302,11 @@ pub fn measure_state_flush(cache: bool, config: &StateFlushConfig) -> StateFlush
 
     let invocations = config.actors * config.calls_per_actor;
     StateFlushReport {
-        cache,
         invocations,
         round_trips: delta.round_trips,
         round_trips_per_invocation: delta.round_trips as f64 / invocations as f64,
         elapsed,
         calls_per_sec: invocations as f64 / elapsed.as_secs_f64(),
-    }
-}
-
-/// Runs the cache-off and cache-on rows.
-pub fn state_flush_sweep(config: &StateFlushConfig) -> Vec<StateFlushReport> {
-    vec![
-        measure_state_flush(false, config),
-        measure_state_flush(true, config),
-    ]
-}
-
-/// The round-trip gate: per-command round trips per invocation over cached.
-pub fn round_trip_reduction(reports: &[StateFlushReport]) -> f64 {
-    let without = reports
-        .iter()
-        .find(|r| !r.cache)
-        .map_or(1.0, |r| r.round_trips_per_invocation);
-    let with = reports
-        .iter()
-        .find(|r| r.cache)
-        .map_or(1.0, |r| r.round_trips_per_invocation);
-    if with > 0.0 {
-        without / with
-    } else {
-        f64::INFINITY
     }
 }
 
@@ -372,8 +317,7 @@ pub fn round_trip_reduction(reports: &[StateFlushReport]) -> f64 {
 /// One human-readable contended-store table row.
 pub fn contended_store_row(report: &ContendedStoreReport) -> String {
     format!(
-        "{:>7} {:>9} {:>8} {:>12.1} {:>12.0} {:>12} {:>10}",
-        if report.coarse { "coarse" } else { "sharded" },
+        "{:>9} {:>8} {:>12.1} {:>12.0} {:>12} {:>10}",
         if report.pipelined {
             "pipeline"
         } else {
@@ -390,8 +334,7 @@ pub fn contended_store_row(report: &ContendedStoreReport) -> String {
 /// One human-readable state-flush table row.
 pub fn state_flush_row(report: &StateFlushReport) -> String {
     format!(
-        "{:>6} {:>12} {:>12} {:>10.2} {:>12.1} {:>10.0}",
-        if report.cache { "on" } else { "off" },
+        "{:>12} {:>12} {:>10.2} {:>12.1} {:>10.0}",
         report.invocations,
         report.round_trips,
         report.round_trips_per_invocation,
@@ -400,13 +343,13 @@ pub fn state_flush_row(report: &StateFlushReport) -> String {
     )
 }
 
-/// Serializes both sweeps as the `BENCH_store.json` document (hand-rolled:
-/// the offline serde shim has no serializer).
+/// Serializes both workloads as the `BENCH_store.json` document
+/// (hand-rolled: the offline serde shim has no serializer).
 pub fn to_json(
     contended_config: &ContendedStoreConfig,
     contended: &[ContendedStoreReport],
     flush_config: &StateFlushConfig,
-    flush: &[StateFlushReport],
+    flush: &StateFlushReport,
 ) -> String {
     let mut contended_rows = String::new();
     for (index, report) in contended.iter().enumerate() {
@@ -414,10 +357,9 @@ pub fn to_json(
             contended_rows.push_str(",\n");
         }
         contended_rows.push_str(&format!(
-            "      {{\"mode\": \"{}\", \"pipelined\": {}, \"ops\": {}, \
+            "      {{\"pipelined\": {}, \"ops\": {}, \
              \"elapsed_ms\": {:.3}, \"ops_per_sec\": {:.1}, \
              \"round_trips\": {}, \"contended_locks\": {}}}",
-            if report.coarse { "coarse" } else { "sharded" },
             report.pipelined,
             report.ops,
             report.elapsed.as_secs_f64() * 1e3,
@@ -426,44 +368,35 @@ pub fn to_json(
             report.contended_locks,
         ));
     }
-    let mut flush_rows = String::new();
-    for (index, report) in flush.iter().enumerate() {
-        if index > 0 {
-            flush_rows.push_str(",\n");
-        }
-        flush_rows.push_str(&format!(
-            "      {{\"state_cache\": {}, \"invocations\": {}, \"round_trips\": {}, \
-             \"round_trips_per_invocation\": {:.3}, \"elapsed_ms\": {:.3}, \
-             \"calls_per_sec\": {:.1}}}",
-            report.cache,
-            report.invocations,
-            report.round_trips,
-            report.round_trips_per_invocation,
-            report.elapsed.as_secs_f64() * 1e3,
-            report.calls_per_sec,
-        ));
-    }
+    let flush_row = format!(
+        "{{\"invocations\": {}, \"round_trips\": {}, \
+         \"round_trips_per_invocation\": {:.3}, \"elapsed_ms\": {:.3}, \
+         \"calls_per_sec\": {:.1}}}",
+        flush.invocations,
+        flush.round_trips,
+        flush.round_trips_per_invocation,
+        flush.elapsed.as_secs_f64() * 1e3,
+        flush.calls_per_sec,
+    );
     format!(
         "{{\n  \"benchmark\": \"store\",\n  \"contended_mixed\": {{\n    \
          \"workload\": {{\"threads\": {}, \"ops_per_thread\": {}, \"batch_size\": {}, \
          \"op_latency_us\": {}, \"value_bytes\": {}, \"keys_per_thread\": {}}},\n    \
-         \"sharded_pipelined_over_coarse\": {:.2},\n    \"rows\": [\n{contended_rows}\n    ]\n  }},\n  \
+         \"rows\": [\n{contended_rows}\n    ]\n  }},\n  \
          \"actor_state_flush\": {{\n    \
          \"workload\": {{\"actors\": {}, \"calls_per_actor\": {}, \"fields_per_call\": {}, \
          \"store_latency_us\": {}}},\n    \
-         \"round_trip_reduction\": {:.2},\n    \"rows\": [\n{flush_rows}\n    ]\n  }}\n}}\n",
+         \"rows\": [\n      {flush_row}\n    ]\n  }}\n}}\n",
         contended_config.threads,
         contended_config.ops_per_thread,
         contended_config.batch_size,
         contended_config.op_latency.as_micros(),
         contended_config.value_bytes,
         contended_config.keys_per_thread,
-        sharded_pipelined_over_coarse(contended),
         flush_config.actors,
         flush_config.calls_per_actor,
         flush_config.fields_per_call,
         flush_config.store_latency.as_micros(),
-        round_trip_reduction(flush),
     )
 }
 
@@ -481,19 +414,16 @@ mod tests {
             value_bytes: 16,
             keys_per_thread: 4,
         };
-        let per_command = measure_contended_store(false, false, &config);
+        let per_command = measure_contended_store(false, &config);
         assert_eq!(per_command.ops, 48);
         assert_eq!(per_command.round_trips, 48);
-        let pipelined = measure_contended_store(false, true, &config);
+        let pipelined = measure_contended_store(true, &config);
         assert_eq!(pipelined.ops, 48);
         assert_eq!(
             pipelined.round_trips,
             (24_u64).div_ceil(8) * 2,
             "one round trip per flush"
         );
-        // Not a perf assertion (CI noise) — just that the ratio computes.
-        let sweep = contended_store_sweep(&config);
-        assert!(sharded_pipelined_over_coarse(&sweep) > 0.0);
     }
 
     #[test]
@@ -501,23 +431,16 @@ mod tests {
         let config = StateFlushConfig {
             actors: 2,
             calls_per_actor: 4,
-            fields_per_call: 3,
+            fields_per_call: 4,
             store_latency: Duration::ZERO,
         };
-        let reports = state_flush_sweep(&config);
-        let without = &reports[0];
-        let with = &reports[1];
-        assert!(!without.cache && with.cache);
-        assert_eq!(without.invocations, 8);
-        // Cached steady state: ~1 flush per invocation vs 4 commands
-        // (3 sets + 1 get). Client placement hits are cached in both runs.
-        assert!(
-            round_trip_reduction(&reports) >= 2.0,
-            "cache saved too little: {:.2} (without {:.2}, with {:.2})",
-            round_trip_reduction(&reports),
-            without.round_trips_per_invocation,
-            with.round_trips_per_invocation,
-        );
+        let report = measure_state_flush(&config);
+        assert_eq!(report.invocations, 8);
+        // Steady state: 4 sets and 1 get per invocation, all answered by the
+        // cache and flushed as exactly one round trip (`BENCH_store.json`
+        // records 1.000; one store command per field access would be 5).
+        assert_eq!(report.round_trips, 8);
+        assert_eq!(report.round_trips_per_invocation, 1.0);
     }
 
     #[test]
@@ -525,7 +448,6 @@ mod tests {
         let contended_config = ContendedStoreConfig::smoke();
         let flush_config = StateFlushConfig::smoke();
         let contended = vec![ContendedStoreReport {
-            coarse: true,
             pipelined: false,
             ops: 10,
             elapsed: Duration::from_millis(10),
@@ -533,14 +455,13 @@ mod tests {
             round_trips: 10,
             contended_locks: 2,
         }];
-        let flush = vec![StateFlushReport {
-            cache: true,
+        let flush = StateFlushReport {
             invocations: 10,
             round_trips: 12,
             round_trips_per_invocation: 1.2,
             elapsed: Duration::from_millis(10),
             calls_per_sec: 1000.0,
-        }];
+        };
         let json = to_json(&contended_config, &contended, &flush_config, &flush);
         assert!(json.contains("\"benchmark\": \"store\""));
         assert!(json.contains("\"contended_mixed\""));

@@ -13,7 +13,8 @@
 //!
 //! The `bench_messaging` binary sweeps 1/2/4/8 workers and emits
 //! `BENCH_messaging.json` with throughput and p50/p99 latency per worker
-//! count, starting the repository's performance trajectory.
+//! count, starting the repository's performance trajectory. Its command
+//! line is parsed by [`parse_messaging_args`].
 
 use std::time::{Duration, Instant};
 
@@ -41,6 +42,53 @@ impl Default for ThroughputConfig {
             calls_per_actor: 20,
             service_time_us: 1_500,
         }
+    }
+}
+
+impl ThroughputConfig {
+    /// A seconds-scale configuration for CI smoke runs.
+    pub fn smoke() -> Self {
+        ThroughputConfig {
+            actors: 8,
+            calls_per_actor: 5,
+            service_time_us: 500,
+        }
+    }
+}
+
+/// Usage line of the `bench_messaging` binary.
+pub const MESSAGING_USAGE: &str =
+    "usage: bench_messaging [out.json]   full sweep, written to out.json \
+     (default BENCH_messaging.json)\n       bench_messaging --smoke      \
+     shrunken sweep, no file written";
+
+/// What a `bench_messaging` command line asks for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MessagingArgs {
+    /// The full sweep, written to this path.
+    Full {
+        /// Where the JSON report goes.
+        out_path: String,
+    },
+    /// The shrunken [`ThroughputConfig::smoke`] sweep; no file is written.
+    Smoke,
+}
+
+/// Parses the `bench_messaging` arguments (program name excluded): no
+/// argument or one output path runs the full sweep, `--smoke` the shrunken
+/// one. Any other `--flag`, or more than one argument, is an error the
+/// binary reports with [`MESSAGING_USAGE`].
+pub fn parse_messaging_args(args: &[String]) -> Result<MessagingArgs, String> {
+    match args {
+        [] => Ok(MessagingArgs::Full {
+            out_path: "BENCH_messaging.json".to_owned(),
+        }),
+        [flag] if flag == "--smoke" => Ok(MessagingArgs::Smoke),
+        [flag] if flag.starts_with("--") => Err(format!("unknown option {flag}")),
+        [path] => Ok(MessagingArgs::Full {
+            out_path: path.clone(),
+        }),
+        _ => Err(format!("expected at most one argument, got {}", args.len())),
     }
 }
 
@@ -277,6 +325,30 @@ mod tests {
         assert!(json.contains("\"workers\": 4"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn messaging_args_accept_smoke_and_paths_and_reject_other_flags() {
+        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|a| a.to_string()).collect() };
+        assert_eq!(
+            parse_messaging_args(&[]),
+            Ok(MessagingArgs::Full {
+                out_path: "BENCH_messaging.json".to_owned()
+            })
+        );
+        assert_eq!(
+            parse_messaging_args(&args(&["--smoke"])),
+            Ok(MessagingArgs::Smoke)
+        );
+        assert_eq!(
+            parse_messaging_args(&args(&["out.json"])),
+            Ok(MessagingArgs::Full {
+                out_path: "out.json".to_owned()
+            })
+        );
+        assert!(parse_messaging_args(&args(&["--smok"])).is_err());
+        assert!(parse_messaging_args(&args(&["--help"])).is_err());
+        assert!(parse_messaging_args(&args(&["a.json", "b.json"])).is_err());
     }
 
     #[test]

@@ -25,10 +25,7 @@
 //! *while holding the partition log lock*: a partition acknowledges appends
 //! in sequence (as a real replicated log does), so two producers hitting the
 //! same partition serialize their acks, while producers on different
-//! partitions overlap them. `BrokerConfig::coarse_global_lock` restores the
-//! pre-overhaul behavior of one global lock around every append/fetch — it
-//! exists solely so benchmarks can quantify the win of per-partition locking
-//! on the same code base.
+//! partitions overlap them.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -179,10 +176,6 @@ struct BrokerInner<M> {
     assignments: RwLock<HashMap<String, HashMap<ComponentId, PartitionSet>>>,
     groups: Mutex<HashMap<String, Group>>,
     shutdown: AtomicBool,
-    /// Ablation: when `BrokerConfig::coarse_global_lock` is set, this mutex
-    /// is taken around every append and fetch, restoring the pre-overhaul
-    /// global serialization for before/after benchmarks.
-    coarse: Option<Mutex<()>>,
 }
 
 impl<M: Clone + Send + Sync + 'static> Default for Broker<M> {
@@ -194,7 +187,6 @@ impl<M: Clone + Send + Sync + 'static> Default for Broker<M> {
 impl<M: Clone + Send + Sync + 'static> Broker<M> {
     /// Creates a broker with the given configuration.
     pub fn new(config: BrokerConfig) -> Self {
-        let coarse = config.coarse_global_lock.then(|| Mutex::new(()));
         Broker {
             inner: Arc::new(BrokerInner {
                 config,
@@ -208,7 +200,6 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
                 assignments: RwLock::new(HashMap::new()),
                 groups: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
-                coarse,
             }),
         }
     }
@@ -526,7 +517,6 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         self.check_epoch(component, epoch)?;
         let ack_lost = self.fault_gate(FaultSite::BrokerAppend, partition)?;
         let part = self.lookup_partition(topic, partition)?;
-        let _coarse = self.inner.coarse.as_ref().map(Mutex::lock);
         let now = self.now();
         let offset = {
             let mut log = part.log.lock();
@@ -565,7 +555,6 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
             return Ok(end..end);
         }
         let ack_lost = self.fault_gate(FaultSite::BrokerAppend, partition)?;
-        let _coarse = self.inner.coarse.as_ref().map(Mutex::lock);
         let now = self.now();
         let range = {
             let mut log = part.log.lock();
@@ -602,7 +591,6 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
     ) -> KarResult<Vec<Record<Arc<M>>>> {
         kar_types::pace_sleep(self.inner.config.deliver_latency);
         self.check_epoch(component, epoch)?;
-        let _coarse = self.inner.coarse.as_ref().map(Mutex::lock);
         Ok(partition.log.lock().read_from(from_offset, max))
     }
 
@@ -1423,37 +1411,6 @@ mod tests {
         // Empty admin batch is a no-op.
         assert_eq!(broker.admin_append_batch("t", 0, vec![]).unwrap(), 3..3);
         assert_eq!(broker.partition_len("t", 0), 3);
-    }
-
-    #[test]
-    fn coarse_global_lock_mode_still_produces_and_consumes() {
-        let config = BrokerConfig {
-            coarse_global_lock: true,
-            ..BrokerConfig::default()
-        };
-        let broker: Broker<u32> = Broker::new(config);
-        broker.create_topic("t", 2).unwrap();
-        let producer = broker.producer(c(1));
-        producer.send("t", 0, 1).unwrap();
-        producer.send_batch("t", 1, vec![2, 3]).unwrap();
-        assert_eq!(
-            broker
-                .consumer(c(2), "t", 0)
-                .unwrap()
-                .poll(10)
-                .unwrap()
-                .len(),
-            1
-        );
-        assert_eq!(
-            broker
-                .consumer(c(2), "t", 1)
-                .unwrap()
-                .poll(10)
-                .unwrap()
-                .len(),
-            2
-        );
     }
 
     #[test]

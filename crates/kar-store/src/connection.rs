@@ -85,7 +85,6 @@ impl Connection {
         let ack_lost = self.fault_gate(key)?;
         let arc = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -108,7 +107,6 @@ impl Connection {
         let value = Arc::new(value);
         let previous = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -132,7 +130,6 @@ impl Connection {
         let value = Arc::new(value);
         let written = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -170,7 +167,6 @@ impl Connection {
         let new = Arc::new(new);
         let outcome = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -198,7 +194,6 @@ impl Connection {
         let ack_lost = self.fault_gate(key)?;
         let previous = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -219,7 +214,6 @@ impl Connection {
         self.inner.charge_round_trip();
         let ack_lost = self.fault_gate(key)?;
         let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-        let _coarse = self.inner.coarse_guard();
         let data = self.inner.lock_shard_of(key);
         self.inner
             .stats
@@ -239,7 +233,6 @@ impl Connection {
         self.inner.charge_round_trip();
         let ack_lost = self.fault_gate(prefix)?;
         let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-        let _coarse = self.inner.coarse_guard();
         self.inner
             .stats
             .reads
@@ -270,7 +263,6 @@ impl Connection {
         let ack_lost = self.fault_gate(key)?;
         let arc = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -293,7 +285,6 @@ impl Connection {
         let value = Arc::new(value);
         let previous = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -326,7 +317,6 @@ impl Connection {
             .map(|(field, value)| (field, Arc::new(value)))
             .collect();
         let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-        let _coarse = self.inner.coarse_guard();
         let mut data = self.inner.lock_shard_of(key);
         self.inner
             .stats
@@ -350,7 +340,6 @@ impl Connection {
         let ack_lost = self.fault_gate(key)?;
         let previous = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -374,7 +363,6 @@ impl Connection {
         let ack_lost = self.fault_gate(key)?;
         let snapshot = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -396,7 +384,6 @@ impl Connection {
         let ack_lost = self.fault_gate(key)?;
         let removed = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats

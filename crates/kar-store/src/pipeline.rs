@@ -342,7 +342,6 @@ impl Pipeline {
                 .stats
                 .pipeline_ops
                 .fetch_add(ops.len() as u64, Ordering::Relaxed);
-            let _coarse = inner.coarse_guard();
             for (shard, indices) in plan {
                 let mut data = inner.lock_shard(shard);
                 for index in indices {

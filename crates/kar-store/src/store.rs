@@ -20,9 +20,6 @@
 //!   respect to every in-flight command and [`Pipeline`](crate::Pipeline)
 //!   flush — a fenced component's half-applied batch cannot interleave with
 //!   its replacement.
-//! * `StoreConfig::coarse_global_lock` restores the pre-overhaul behavior of
-//!   one global data lock around every command — it exists solely so
-//!   benchmarks can quantify the win of sharding on the same code base.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -54,10 +51,6 @@ pub struct StoreConfig {
     /// Number of data shards keys hash onto. `0` selects
     /// [`DEFAULT_STORE_SHARDS`].
     pub shards: usize,
-    /// **Ablation knob for benchmarks only.** Takes one global mutex around
-    /// every command's data section, restoring the pre-overhaul store whose
-    /// single `Mutex<StoreData>` serialized every operation mesh-wide.
-    pub coarse_global_lock: bool,
     /// Optional gray-failure injector consulted by fenced commands, pipeline
     /// flushes, and *checked* admin operations (see
     /// [`kar_types::FaultPlan`]). `None` — the default — keeps the store
@@ -154,14 +147,6 @@ pub(crate) struct StoreInner {
     /// commands and pipeline flushes.
     pub(crate) epochs: RwLock<HashMap<ComponentId, Epoch>>,
     pub(crate) stats: StatCounters,
-    /// Ablation: when `StoreConfig::coarse_global_lock` is set, this mutex is
-    /// taken around every command's data section, restoring the pre-overhaul
-    /// global serialization for before/after benchmarks.
-    pub(crate) coarse: Option<Mutex<()>>,
-    /// Contended acquisitions of the coarse ablation lock, so the before/
-    /// after contention picture includes the lock that actually serializes
-    /// the coarse rows.
-    pub(crate) coarse_contention: AtomicU64,
 }
 
 impl Default for Store {
@@ -179,7 +164,6 @@ impl Store {
     /// Creates an empty store with the given configuration.
     pub fn with_config(config: StoreConfig) -> Self {
         let shards = config.effective_shards();
-        let coarse = config.coarse_global_lock.then(|| Mutex::new(()));
         Store {
             inner: Arc::new(StoreInner {
                 config,
@@ -189,8 +173,6 @@ impl Store {
                 contention: (0..shards).map(|_| AtomicU64::new(0)).collect(),
                 epochs: RwLock::new(HashMap::new()),
                 stats: StatCounters::default(),
-                coarse,
-                coarse_contention: AtomicU64::new(0),
             }),
         }
     }
@@ -265,14 +247,6 @@ impl Store {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Contended acquisitions of the coarse ablation lock (0 unless
-    /// `StoreConfig::coarse_global_lock` is set — this is where coarse-mode
-    /// commands actually serialize, so the before/after contention
-    /// comparison must include it).
-    pub fn coarse_contention(&self) -> u64 {
-        self.inner.coarse_contention.load(Ordering::Relaxed)
     }
 
     /// Number of string keys plus hash keys currently stored.
@@ -591,20 +565,6 @@ impl StoreInner {
             site.name()
         ))
     }
-
-    /// The coarse-lock ablation guard (held around data sections when the
-    /// `coarse_global_lock` flag is set, `None` otherwise), counting
-    /// contended acquisitions like the shard locks do.
-    pub(crate) fn coarse_guard(&self) -> Option<MutexGuard<'_, ()>> {
-        let coarse = self.coarse.as_ref()?;
-        Some(match coarse.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.coarse_contention.fetch_add(1, Ordering::Relaxed);
-                coarse.lock()
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -739,21 +699,6 @@ mod tests {
             .count();
         assert!(populated > 1, "64 keys all landed on one shard");
         assert_eq!(store.len(), 64);
-    }
-
-    #[test]
-    fn coarse_global_lock_mode_still_works() {
-        let store = Store::with_config(StoreConfig {
-            coarse_global_lock: true,
-            ..StoreConfig::default()
-        });
-        let conn = store.connect(ComponentId::from_raw(1));
-        conn.set("a", Value::from(1)).unwrap();
-        conn.hset("h", "f", Value::from(2)).unwrap();
-        assert_eq!(conn.get("a").unwrap(), Some(Value::from(1)));
-        assert_eq!(conn.hgetall("h").unwrap().len(), 1);
-        store.fence(ComponentId::from_raw(1));
-        assert!(conn.get("a").is_err());
     }
 
     #[test]

@@ -369,11 +369,10 @@ pub struct ComponentCore {
     /// Completed request ids (retry dedupe). Aged out alongside queue
     /// retention: a retry can only arrive from an unexpired queue record.
     completed: Mutex<AgingSet<RequestId>>,
-    /// The per-activation actor-state cache (`None` when
-    /// `MeshConfig::actor_state_cache` is off): read-through on first touch,
+    /// The per-activation actor-state cache: read-through on first touch,
     /// buffered writes flushed as one pipelined round trip strictly before
     /// each invocation's completion is sent.
-    state_cache: Option<StateCache>,
+    state_cache: StateCache,
     /// The mesh-wide retry token bucket (shared by every component): each
     /// *scheduled* retry admission spends one token; an empty bucket sheds
     /// the retry back onto its backoff timer (never dropped).
@@ -440,7 +439,7 @@ impl ComponentCore {
             store.connect(id),
             live.clone(),
             config.placement_cache,
-            config.effective_placement_cache_shards(),
+            config.effective_dispatch_workers(),
             config.call_timeout,
         );
         // The retry bookkeeping — and the dispatcher's steal-route table —
@@ -453,7 +452,6 @@ impl ComponentCore {
         let bookkeeping_interval = config.time_scale.compress(config.retention * 2);
         let pool = DispatchPool::new(
             config.effective_dispatch_workers(),
-            config.work_stealing,
             bookkeeping_interval,
             Some(Arc::clone(&wakeup)),
         );
@@ -466,9 +464,6 @@ impl ComponentCore {
         // doubled bookkeeping interval): a clean entry whose actor has been
         // idle for one to two windows is dropped and reloaded on next touch.
         let state_cache_interval = config.time_scale.compress(config.retention);
-        let config_state_cache = config
-            .actor_state_cache
-            .then(|| StateCache::new(state_cache_interval));
         let response_batcher = config.response_batching.then(ResponseBatcher::new);
         let request_batcher = config.request_batching.then(RequestBatcher::new);
         ComponentCore {
@@ -509,7 +504,7 @@ impl ComponentCore {
             seen_responses: Mutex::new(AgingSet::new(bookkeeping_interval)),
             inflight: Mutex::new(HashSet::new()),
             completed: Mutex::new(AgingSet::new(bookkeeping_interval)),
-            state_cache: config_state_cache,
+            state_cache: StateCache::new(state_cache_interval),
             budget,
             breakers,
             delayed: Mutex::new(DelayedRetries::default()),
@@ -570,9 +565,7 @@ impl ComponentCore {
         // invocations still executing here — placement never moves an actor
         // off a live component, so their image stays authoritative and their
         // upcoming flush must not be silently lost.
-        if let Some(cache) = &self.state_cache {
-            cache.invalidate_clean();
-        }
+        self.state_cache.invalidate_clean();
         // Retirement-leak sweep: a later recovery may have fenced an adopted
         // partition *before* its retirement horizon (the range was re-homed
         // again). Its consumer was dropped on the failed poll, but its
@@ -626,9 +619,7 @@ impl ComponentCore {
         // The in-memory state images die with the process; unflushed writes
         // are lost, exactly like the in-flight writes of a killed
         // per-command component (no response was sent for them).
-        if let Some(cache) = &self.state_cache {
-            cache.invalidate_all();
-        }
+        self.state_cache.invalidate_all();
         // Dropping the senders wakes every thread blocked on a nested call.
         self.pending_calls.lock().clear();
         self.deferred.lock().clear();
@@ -2462,7 +2453,7 @@ impl ComponentCore {
     }
 
     /// Drains every claimable dispatch shard, then steals for an idle one if
-    /// nothing was found (when `MeshConfig::work_stealing` is on).
+    /// nothing was found (when the pool has more than one shard).
     fn pump_dispatch(self: &Arc<Self>) -> bool {
         let mut did = false;
         for shard in 0..self.pool.workers() {
@@ -2624,9 +2615,6 @@ impl ComponentCore {
     /// horizon and drops lanes whose consumers are all gone, returning the
     /// lane count to its pre-failure steady state.
     fn sweep_retirement(&self) {
-        if !self.config.partition_retirement {
-            return;
-        }
         let lanes: Vec<Arc<ConsumerLane>> = self.lanes.lock().clone();
         for lane in lanes {
             let mut consumers = lane.consumers.lock();
@@ -2686,9 +2674,6 @@ impl ComponentCore {
     /// same clock the aged retry bookkeeping uses), so an empty log at the
     /// horizon is empty forever.
     fn maybe_retire_partitions(&self, consumers: &mut Vec<Consumer<Envelope>>) {
-        if !self.config.partition_retirement {
-            return;
-        }
         let delay = self.config.scaled_retirement_delay();
         let now = mono_now();
         let mut index = 0;
@@ -2783,9 +2768,7 @@ impl ComponentCore {
         // ages out instead of leaking.
         self.passivated.lock().maybe_rotate(now);
         self.pool.age_routes(now);
-        if let Some(cache) = &self.state_cache {
-            cache.maybe_age(now);
-        }
+        self.state_cache.maybe_age(now);
     }
 
     /// Number of live steal-route overrides in the dispatch pool (aged out
@@ -2993,10 +2976,8 @@ impl ComponentCore {
         if !actors.get(actor).is_some_and(Self::quiescent) {
             return false;
         }
-        if let Some(cache) = &self.state_cache {
-            if !cache.passivate(&state_key(actor)) {
-                return false;
-            }
+        if !self.state_cache.passivate(&state_key(actor)) {
+            return false;
         }
         actors.remove(actor);
         self.resident_count.fetch_sub(1, Ordering::Relaxed);
@@ -3029,17 +3010,15 @@ impl ComponentCore {
     // Actor-state persistence (the `ctx.state()` backend)
     // ------------------------------------------------------------------
 
-    /// Number of actor states currently cached (0 when the cache is off).
+    /// Number of actor states currently cached.
     pub fn cached_state_count(&self) -> usize {
-        self.state_cache.as_ref().map_or(0, StateCache::len)
+        self.state_cache.len()
     }
 
     /// Number of clean actor-state cache entries evicted after idling for a
-    /// retention window (0 when the cache is off).
+    /// retention window.
     pub fn state_cache_evictions(&self) -> u64 {
-        self.state_cache
-            .as_ref()
-            .map_or(0, StateCache::eviction_count)
+        self.state_cache.eviction_count()
     }
 
     /// Number of live consumer lanes (units of consumer concurrency; no
@@ -3085,10 +3064,7 @@ impl ComponentCore {
     }
 
     pub(crate) fn state_get(&self, key: &str, field: &str) -> KarResult<Option<Value>> {
-        match &self.state_cache {
-            Some(cache) => cache.get(&self.conn, key, field),
-            None => self.conn.hget(key, field),
-        }
+        self.state_cache.get(&self.conn, key, field)
     }
 
     pub(crate) fn state_set(
@@ -3097,10 +3073,7 @@ impl ComponentCore {
         field: &str,
         value: Value,
     ) -> KarResult<Option<Value>> {
-        match &self.state_cache {
-            Some(cache) => cache.set(&self.conn, key, field, value),
-            None => self.conn.hset(key, field, value),
-        }
+        self.state_cache.set(&self.conn, key, field, value)
     }
 
     pub(crate) fn state_set_multi(
@@ -3108,31 +3081,19 @@ impl ComponentCore {
         key: &str,
         entries: impl IntoIterator<Item = (String, Value)>,
     ) -> KarResult<()> {
-        match &self.state_cache {
-            Some(cache) => cache.set_multi(&self.conn, key, entries),
-            None => self.conn.hset_multi(key, entries),
-        }
+        self.state_cache.set_multi(&self.conn, key, entries)
     }
 
     pub(crate) fn state_remove(&self, key: &str, field: &str) -> KarResult<Option<Value>> {
-        match &self.state_cache {
-            Some(cache) => cache.remove(&self.conn, key, field),
-            None => self.conn.hdel(key, field),
-        }
+        self.state_cache.remove(&self.conn, key, field)
     }
 
     pub(crate) fn state_get_all(&self, key: &str) -> KarResult<BTreeMap<String, Value>> {
-        match &self.state_cache {
-            Some(cache) => cache.get_all(&self.conn, key),
-            None => self.conn.hgetall(key),
-        }
+        self.state_cache.get_all(&self.conn, key)
     }
 
     pub(crate) fn state_clear(&self, key: &str) -> KarResult<bool> {
-        match &self.state_cache {
-            Some(cache) => cache.clear_hash(&self.conn, key),
-            None => self.conn.hclear(key),
-        }
+        self.state_cache.clear_hash(&self.conn, key)
     }
 
     /// Makes `actor`'s buffered state writes durable (one pipelined round
@@ -3140,10 +3101,7 @@ impl ComponentCore {
     /// invocation's completion — response or tail-call continuation — is
     /// sent, so acknowledged state is always durable (flush-then-respond).
     fn flush_actor_state(&self, actor: &ActorRef) -> KarResult<()> {
-        match &self.state_cache {
-            Some(cache) => cache.flush(&self.conn, &state_key(actor)),
-            None => Ok(()),
-        }
+        self.state_cache.flush(&self.conn, &state_key(actor))
     }
 }
 

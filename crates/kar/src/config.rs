@@ -60,18 +60,11 @@ pub struct MeshConfig {
     /// ordered (the actor is pinned to one shard). `1` reproduces the fully
     /// serial dispatch of early revisions; values above `1` let throughput
     /// scale with cores and make retry load shaping explicit (RetryGuard's
-    /// motivation). Clamped to at least 1.
+    /// motivation). With more than one worker, an idle worker steals whole
+    /// *actors* (never splitting one actor's queued requests) from the most
+    /// loaded shard. The placement cache has one shard per worker. Clamped
+    /// to at least 1.
     pub dispatch_workers: usize,
-    /// Number of shards of the placement cache. Concurrent dispatch workers
-    /// resolving placements hash onto distinct shards instead of funnelling
-    /// through one cache lock. `0` defaults to `dispatch_workers`. Clamped to
-    /// at least 1 when the cache is enabled.
-    pub placement_cache_shards: usize,
-    /// Enable work stealing between dispatch shards: an idle worker steals
-    /// whole *actors* (never splitting one actor's queued requests) from the
-    /// most loaded shard, closing the imbalance left by static actor→shard
-    /// hashing. Per-actor ordering and the actor-lock rules are preserved.
-    pub work_stealing: bool,
     /// Number of home queue partitions allocated to each component (the
     /// paper's Kafka deployment assigns each component a partition *set*,
     /// §4.1). Requests hash onto a component's home partitions by actor key,
@@ -116,36 +109,6 @@ pub struct MeshConfig {
     /// one-append-per-response delivery path (the `bench_delivery` harness
     /// compares both).
     pub response_batching: bool,
-    /// Enable post-recovery retirement of adopted partitions: an adopted
-    /// (drain-only) partition whose retirement horizon has passed — twice
-    /// the queue-retention window after adoption, by which time retention
-    /// has expired anything a stale sender could still have appended after
-    /// recovery's placement rewrite — and whose log is fully drained is
-    /// fenced, dropped from its consumer's wait group, and removed from the
-    /// component's partition set, returning the consumer-thread count to its
-    /// pre-failure steady state. Disable to keep the pre-overhaul behavior
-    /// of draining adopted partitions forever.
-    pub partition_retirement: bool,
-    /// **Ablation knob for benchmarks only.** Restores the pre-overhaul
-    /// broker whose single global lock serialized every append and fetch
-    /// (see `BrokerConfig::coarse_global_lock`).
-    pub coarse_broker_lock: bool,
-    /// Enable the per-activation actor-state cache: `ctx.state()` reads
-    /// through one `hgetall` on an actor's first touch, buffers writes in
-    /// memory, and flushes them as one pipelined store round trip strictly
-    /// *before* the invocation's response (or tail-call continuation) is
-    /// sent — so acknowledged state is always durable, while an invocation
-    /// touching K fields pays one round trip instead of K. Disable to
-    /// restore the per-command state plane (the benchmarks compare both).
-    pub actor_state_cache: bool,
-    /// Number of data shards of the store (`0` selects the store's default).
-    /// Keys hash onto shards, so concurrent state/placement commands only
-    /// contend when they race on the same shard.
-    pub store_shards: usize,
-    /// **Ablation knob for benchmarks only.** Restores the pre-overhaul
-    /// store whose single global data lock serialized every command
-    /// mesh-wide (see `StoreConfig::coarse_global_lock`).
-    pub coarse_store_lock: bool,
     /// Per-actor-type default retry policies (`(actor type, policy)`
     /// pairs). An invocation of a listed type whose request carries no
     /// explicit policy is orchestrated under the type's default: failed
@@ -254,19 +217,12 @@ impl Default for MeshConfig {
             placement_cache: true,
             cancellation: CancellationPolicy::Await,
             dispatch_workers: 4,
-            placement_cache_shards: 0,
-            work_stealing: true,
             partitions_per_component: 4,
             consumers_per_component: 0,
             client_partitions: 0,
             reactor_threads: 0,
             request_batching: true,
             response_batching: true,
-            partition_retirement: true,
-            coarse_broker_lock: false,
-            actor_state_cache: true,
-            store_shards: 0,
-            coarse_store_lock: false,
             retry_policies: Vec::new(),
             circuit_breaker: None,
             // Generous default: orchestrated retries are effectively
@@ -363,32 +319,6 @@ impl MeshConfig {
     /// field was set to).
     pub fn effective_dispatch_workers(&self) -> usize {
         self.dispatch_workers.max(1)
-    }
-
-    /// Sets the number of placement-cache shards (`0` = follow
-    /// `dispatch_workers`).
-    #[must_use]
-    pub fn with_placement_cache_shards(mut self, shards: usize) -> Self {
-        self.placement_cache_shards = shards;
-        self
-    }
-
-    /// The effective placement-cache shard count: the explicit knob, or the
-    /// dispatch worker count when left at `0` (one shard per concurrent
-    /// resolver is the natural default), never below 1.
-    pub fn effective_placement_cache_shards(&self) -> usize {
-        if self.placement_cache_shards == 0 {
-            self.effective_dispatch_workers()
-        } else {
-            self.placement_cache_shards
-        }
-    }
-
-    /// Enables or disables work stealing between dispatch shards.
-    #[must_use]
-    pub fn with_work_stealing(mut self, enabled: bool) -> Self {
-        self.work_stealing = enabled;
-        self
     }
 
     /// Sets the number of home queue partitions per component (clamped to
@@ -488,13 +418,6 @@ impl MeshConfig {
         self
     }
 
-    /// Enables or disables post-recovery retirement of adopted partitions.
-    #[must_use]
-    pub fn with_partition_retirement(mut self, enabled: bool) -> Self {
-        self.partition_retirement = enabled;
-        self
-    }
-
     /// The wall-clock retirement horizon of an adopted partition: twice the
     /// (time-compressed) queue-retention window after its adoption. One
     /// window guarantees every record a racing stale sender could have
@@ -502,37 +425,6 @@ impl MeshConfig {
     /// on the same clock the aged retry bookkeeping already uses.
     pub fn scaled_retirement_delay(&self) -> Duration {
         self.time_scale.compress(self.retention * 2)
-    }
-
-    /// **Benchmark ablation**: restores the pre-overhaul single global
-    /// broker lock.
-    #[must_use]
-    pub fn with_coarse_broker_lock(mut self, coarse: bool) -> Self {
-        self.coarse_broker_lock = coarse;
-        self
-    }
-
-    /// Enables or disables the per-activation actor-state cache (the
-    /// benchmarks compare round trips per invocation under both settings).
-    #[must_use]
-    pub fn with_actor_state_cache(mut self, enabled: bool) -> Self {
-        self.actor_state_cache = enabled;
-        self
-    }
-
-    /// Sets the number of store data shards (`0` = the store's default).
-    #[must_use]
-    pub fn with_store_shards(mut self, shards: usize) -> Self {
-        self.store_shards = shards;
-        self
-    }
-
-    /// **Benchmark ablation**: restores the pre-overhaul single global
-    /// store lock.
-    #[must_use]
-    pub fn with_coarse_store_lock(mut self, coarse: bool) -> Self {
-        self.coarse_store_lock = coarse;
-        self
     }
 
     /// Registers `policy` as the default retry policy for every invocation
@@ -682,7 +574,6 @@ impl MeshConfig {
                 .time_scale
                 .compress(Duration::from_millis(200))
                 .max(Duration::from_millis(1)),
-            coarse_global_lock: self.coarse_broker_lock,
             faults: None,
         }
     }
@@ -693,8 +584,7 @@ impl MeshConfig {
     pub fn store_config(&self) -> StoreConfig {
         StoreConfig {
             op_latency: self.latency.store_op,
-            shards: self.store_shards,
-            coarse_global_lock: self.coarse_store_lock,
+            shards: 0,
             faults: None,
         }
     }
@@ -749,25 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn placement_cache_shards_follow_dispatch_workers_by_default() {
-        let c = MeshConfig::for_tests().with_dispatch_workers(6);
-        assert_eq!(c.placement_cache_shards, 0);
-        assert_eq!(c.effective_placement_cache_shards(), 6);
-        let explicit = c.with_placement_cache_shards(3);
-        assert_eq!(explicit.effective_placement_cache_shards(), 3);
-    }
-
-    #[test]
-    fn stealing_and_coarse_lock_toggles() {
-        let c = MeshConfig::for_tests();
-        assert!(c.work_stealing);
-        assert!(!c.coarse_broker_lock);
-        let c = c.with_work_stealing(false).with_coarse_broker_lock(true);
-        assert!(!c.work_stealing);
-        assert!(c.broker_config().coarse_global_lock);
-    }
-
-    #[test]
     fn partition_and_consumer_knobs_default_and_clamp() {
         let c = MeshConfig::default();
         assert_eq!(c.partitions_per_component, 4);
@@ -797,30 +668,20 @@ mod tests {
     #[test]
     fn state_plane_knobs_default_and_toggle() {
         let c = MeshConfig::default();
-        assert!(c.actor_state_cache);
-        assert_eq!(c.store_shards, 0);
-        assert!(!c.coarse_store_lock);
-        assert!(!c.store_config().coarse_global_lock);
-        let c = MeshConfig::for_tests()
-            .with_actor_state_cache(false)
-            .with_store_shards(4)
-            .with_coarse_store_lock(true);
-        assert!(!c.actor_state_cache);
-        assert_eq!(c.store_config().shards, 4);
-        assert!(c.store_config().coarse_global_lock);
+        // `0` lets the store pick its own shard count.
+        assert_eq!(c.store_config().shards, 0);
+        assert_eq!(c.store_config().op_latency, Duration::ZERO);
+        let c = MeshConfig::for_deployment(DeploymentProfile::ClusterProd);
+        assert_eq!(c.store_config().op_latency, c.latency.store_op);
     }
 
     #[test]
     fn delivery_plane_knobs_default_and_toggle() {
         let c = MeshConfig::default();
         assert!(c.response_batching);
-        assert!(c.partition_retirement);
         assert_eq!(c.scaled_retirement_delay(), Duration::from_secs(1200));
-        let c = MeshConfig::for_tests()
-            .with_response_batching(false)
-            .with_partition_retirement(false);
+        let c = MeshConfig::for_tests().with_response_batching(false);
         assert!(!c.response_batching);
-        assert!(!c.partition_retirement);
         // The horizon rides the compressed retention clock.
         assert_eq!(
             c.scaled_retirement_delay(),

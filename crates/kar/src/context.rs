@@ -190,16 +190,13 @@ pub(crate) fn state_key(actor: &ActorRef) -> String {
 ///
 /// # Caching and crash consistency
 ///
-/// With `MeshConfig::actor_state_cache` enabled (the default), reads go
-/// through a per-activation in-memory image of the state hash (loaded with
+/// Reads go through a per-activation in-memory image of the state hash (loaded with
 /// one `hgetall` on the actor's first touch) and writes are buffered. The
 /// runtime flushes buffered writes as **one** pipelined store round trip
 /// strictly *before* the invocation's response or tail-call continuation is
-/// sent, preserving the crash-consistency contract of the per-command plane:
-/// by the time a caller observes a completion, the state it acknowledged is
-/// durable — a component killed between the flush and the response simply
-/// triggers the retry orchestration, exactly as before. With the cache
-/// disabled, every call below is one store command.
+/// sent: by the time a caller observes a completion, the state it
+/// acknowledged is durable — a component killed between the flush and the
+/// response simply triggers the retry orchestration.
 pub struct ActorState<'a> {
     core: &'a Arc<ComponentCore>,
     key: String,

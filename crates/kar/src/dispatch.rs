@@ -130,8 +130,6 @@ pub(crate) struct DispatchPool {
     /// windows (see [`DispatchPool::age_routes`]), so long-lived components
     /// hosting transient actors don't grow an unbounded routing table.
     routes: Mutex<AgingMap<ActorRef, usize>>,
-    /// Whether idle reactors steal actors from loaded shards.
-    stealing: bool,
     /// Number of successful steals (whole actors moved).
     steals: AtomicU64,
     /// Number of deep pushes that re-notified the wait group to summon a
@@ -150,16 +148,15 @@ pub(crate) struct DispatchPool {
 impl DispatchPool {
     /// Creates a pool with `workers` shards. Callers pass
     /// `MeshConfig::effective_dispatch_workers()`, the single authoritative
-    /// clamp for the shard count, `MeshConfig::work_stealing`, the retention
-    /// interval steal-route overrides age out on, and the wait group pushes
-    /// notify (the group the mesh's reactors park on).
+    /// clamp for the shard count, the retention interval steal-route
+    /// overrides age out on, and the wait group pushes notify (the group the
+    /// mesh's reactors park on). A pool with more than one shard steals.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
     pub(crate) fn new(
         workers: usize,
-        stealing: bool,
         route_retention: Duration,
         wakeup: Option<Arc<WaitSignalGroup>>,
     ) -> Self {
@@ -167,7 +164,6 @@ impl DispatchPool {
         DispatchPool {
             shards: (0..workers).map(|_| Shard::new()).collect(),
             routes: Mutex::new(AgingMap::new(route_retention)),
-            stealing: stealing && workers > 1,
             steals: AtomicU64::new(0),
             steal_wakeups: AtomicU64::new(0),
             pending: Mutex::new(HashSet::new()),
@@ -442,7 +438,7 @@ impl DispatchPool {
     /// this queue backs up. Best-effort: if every reactor is mid-invocation
     /// the signal is absorbed, and the idle tick remains the backstop.
     fn maybe_wake_thief(&self, loaded: usize, depth: usize) {
-        if !self.stealing || depth < STEAL_WAKEUP_DEPTH {
+        if !self.stealing() || depth < STEAL_WAKEUP_DEPTH {
             return;
         }
         for (index, shard) in self.shards.iter().enumerate() {
@@ -511,9 +507,10 @@ impl DispatchPool {
         }
     }
 
-    /// Whether work stealing is enabled for this pool.
+    /// Whether idle reactors steal actors from loaded shards: always, once
+    /// there is more than one shard to steal from.
     pub(crate) fn stealing(&self) -> bool {
-        self.stealing
+        self.shards.len() > 1
     }
 
     /// Steals one whole actor from the deepest other shard into `thief`'s
@@ -616,7 +613,7 @@ impl DispatchPool {
             if let Some(request) = self.try_pop(shard) {
                 return Some(request);
             }
-            if self.stealing && self.try_steal(shard) {
+            if self.stealing() && self.try_steal(shard) {
                 if let Some(request) = self.try_pop(shard) {
                     return Some(request);
                 }
@@ -654,13 +651,13 @@ mod tests {
         }
     }
 
-    fn pool(workers: usize, stealing: bool, retention: Duration) -> DispatchPool {
-        DispatchPool::new(workers, stealing, retention, None)
+    fn pool(workers: usize, retention: Duration) -> DispatchPool {
+        DispatchPool::new(workers, retention, None)
     }
 
     #[test]
     fn actors_are_pinned_to_stable_shards() {
-        let pool = pool(4, false, RETENTION);
+        let pool = pool(4, RETENTION);
         assert_eq!(pool.workers(), 4);
         for i in 0..32 {
             let actor = ActorRef::new("T", format!("a{i}"));
@@ -673,18 +670,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_is_rejected() {
-        pool(0, true, RETENTION);
+        pool(0, RETENTION);
     }
 
     #[test]
     fn submit_tracks_pending_until_admitted() {
-        let pool = pool(2, false, RETENTION);
+        let pool = pool(2, RETENTION);
         let r = request(7, "a");
         let id = r.id;
         assert!(pool.submit(r));
         assert!(pool.is_pending(id));
         let shard = pool.shard_of(&ActorRef::new("T", "a"));
-        let received = pool.next_request(shard, Duration::from_millis(5)).unwrap();
+        let received = pool.try_pop(shard).unwrap();
         assert_eq!(received.id, id);
         assert!(pool.is_pending(id), "still pending until admitted");
         pool.admitted(id);
@@ -696,7 +693,7 @@ mod tests {
 
     #[test]
     fn next_request_times_out_on_an_empty_shard() {
-        let pool = pool(1, false, RETENTION);
+        let pool = pool(1, RETENTION);
         assert!(pool.next_request(0, Duration::from_millis(2)).is_none());
     }
 
@@ -707,7 +704,7 @@ mod tests {
         // mirrors must come back to zero.
         use std::sync::Arc;
         const MESSAGES: u64 = 2_000;
-        let pool = Arc::new(DispatchPool::new(2, true, RETENTION, None));
+        let pool = Arc::new(DispatchPool::new(2, RETENTION, None));
         let shard = pool.shard_of(&ActorRef::new("T", "a"));
         let pusher_pool = pool.clone();
         let pusher = std::thread::spawn(move || {
@@ -742,7 +739,7 @@ mod tests {
 
     #[test]
     fn idle_worker_steals_a_whole_actor_from_the_deepest_shard() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         let hot = ActorRef::new("T", "hot");
         let warm = ActorRef::new("T", "warm");
         let victim = pool.shard_of(&hot);
@@ -789,7 +786,7 @@ mod tests {
 
     #[test]
     fn stealing_skips_the_actor_its_drainer_is_busy_with() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         let hot = ActorRef::new("T", "hot");
         let victim = pool.shard_of(&hot);
         let thief = 1 - victim;
@@ -815,7 +812,7 @@ mod tests {
 
     #[test]
     fn shallow_queues_are_not_stolen_from() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         let hot = ActorRef::new("T", "hot");
         let victim = pool.shard_of(&hot);
         let thief = 1 - victim;
@@ -829,22 +826,8 @@ mod tests {
     }
 
     #[test]
-    fn stealing_disabled_leaves_queues_alone() {
-        let pool = pool(2, false, RETENTION);
-        let hot = ActorRef::new("T", "hot");
-        let victim = pool.shard_of(&hot);
-        let thief = 1 - victim;
-        for id in 1..=4 {
-            pool.submit(request(id, "hot"));
-        }
-        assert!(pool.next_request(thief, Duration::from_millis(2)).is_none());
-        assert_eq!(pool.depth(victim), 4);
-        assert_eq!(pool.steal_count(), 0);
-    }
-
-    #[test]
     fn shard_claims_are_exclusive_until_released() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         assert!(pool.try_claim(0));
         assert!(!pool.try_claim(0), "second claim must fail");
         assert!(pool.try_claim(1), "claims are per shard");
@@ -856,7 +839,7 @@ mod tests {
 
     #[test]
     fn submit_batch_groups_by_shard_and_preserves_per_actor_order() {
-        let pool = pool(4, false, RETENTION);
+        let pool = pool(4, RETENTION);
         // Interleave requests for several actors; the batch must land each
         // actor's requests on its shard in submission order.
         let mut batch = Vec::new();
@@ -873,8 +856,10 @@ mod tests {
         let mut drained = 0;
         let mut last_per_actor: std::collections::HashMap<String, u64> =
             std::collections::HashMap::new();
+        // `try_pop` never steals, so every request drains from the shard the
+        // batch routed it to.
         for shard in 0..4 {
-            while let Some(r) = pool.next_request(shard, Duration::from_millis(1)) {
+            while let Some(r) = pool.try_pop(shard) {
                 assert_eq!(pool.shard_of(&r.target), shard, "misrouted batch entry");
                 assert!(pool.is_pending(r.id), "batch entry not pending admission");
                 let last = last_per_actor
@@ -895,7 +880,7 @@ mod tests {
 
     #[test]
     fn submit_batch_honours_steal_route_overrides() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         let hot = ActorRef::new("T", "hot");
         let home = pool.shard_of(&hot);
         let exile = 1 - home;
@@ -907,7 +892,7 @@ mod tests {
 
     #[test]
     fn idle_steal_routes_age_out_but_active_ones_survive() {
-        let pool = pool(2, true, Duration::from_millis(1));
+        let pool = pool(2, Duration::from_millis(1));
         let idle = ActorRef::new("T", "idle");
         let busy = ActorRef::new("T", "busy");
         pool.routes.lock().insert(idle.clone(), 0);
@@ -944,7 +929,7 @@ mod tests {
 
     #[test]
     fn a_dropped_route_falls_back_to_the_home_shard_with_nothing_queued() {
-        let pool = pool(2, true, Duration::from_millis(1));
+        let pool = pool(2, Duration::from_millis(1));
         let actor = ActorRef::new("T", "wanderer");
         let home = pool.shard_of(&actor);
         pool.routes.lock().insert(actor.clone(), 1 - home);
@@ -964,7 +949,7 @@ mod tests {
     fn deep_pushes_notify_the_wait_group_for_a_parked_thief() {
         use std::sync::Arc;
         let group = Arc::new(WaitSignalGroup::new());
-        let pool = Arc::new(DispatchPool::new(2, true, RETENTION, Some(group.clone())));
+        let pool = Arc::new(DispatchPool::new(2, RETENTION, Some(group.clone())));
         let hot = ActorRef::new("T", "hot");
         let victim = pool.shard_of(&hot);
         let thief = 1 - victim;
@@ -1006,7 +991,7 @@ mod tests {
 
     #[test]
     fn shallow_pushes_do_not_issue_steal_wakeups() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         for id in 1..STEAL_WAKEUP_DEPTH as u64 {
             pool.submit(request(id, "hot"));
         }
@@ -1015,8 +1000,8 @@ mod tests {
         // waiter — the signal is best-effort).
         pool.submit(request(99, "hot"));
         assert!(pool.steal_wakeup_count() >= 1);
-        // Stealing disabled: never wake.
-        let no_steal = DispatchPool::new(2, false, RETENTION, None);
+        // A single shard has no thief to wake.
+        let no_steal = DispatchPool::new(1, RETENTION, None);
         for id in 1..=(STEAL_WAKEUP_DEPTH as u64 * 2) {
             no_steal.submit(request(id, "hot"));
         }

@@ -750,8 +750,7 @@ impl Mesh {
             .map(|core| core.steal_wakeup_count())
     }
 
-    /// Number of actor states one component currently caches in memory
-    /// (0 when the actor-state cache is disabled).
+    /// Number of actor states one component currently caches in memory.
     pub fn cached_state_count(&self, component: ComponentId) -> Option<usize> {
         self.inner
             .components

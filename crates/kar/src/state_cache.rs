@@ -10,9 +10,8 @@
 //!   `remove`, `clear`) are buffered in memory and made durable by
 //!   [`StateCache::flush`] as **one** pipelined store round trip. The
 //!   component calls `flush` strictly *before* sending the invocation's
-//!   response or tail-call continuation, so the crash-consistency contract
-//!   of the per-command plane is preserved: any completion a caller observes
-//!   implies the state it acknowledged is durable. A kill between the flush
+//!   response or tail-call continuation, so any completion a caller
+//!   observes implies the state it acknowledged is durable. A kill between the flush
 //!   and the send leaves a durable-but-unacknowledged state, exactly the
 //!   case retry orchestration already handles (the retry re-executes and
 //!   overwrites).

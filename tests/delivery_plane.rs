@@ -432,37 +432,6 @@ fn adopted_partitions_retire_after_the_horizon_under_seeded_chaos() {
     mesh.shutdown();
 }
 
-/// Retirement can be disabled: adopted partitions are then drained forever
-/// (the pre-overhaul behavior), keeping their consumer thread.
-#[test]
-fn retirement_knob_keeps_adopted_partitions_when_disabled() {
-    let mesh = Mesh::new(
-        MeshConfig {
-            retention: Duration::from_secs(60),
-            ..MeshConfig::for_tests()
-        }
-        .with_partitions_per_component(2)
-        .with_dispatch_workers(2)
-        .with_partition_retirement(false),
-    );
-    let node = mesh.add_node();
-    let a = mesh.add_component(node, "keeper", |c| c.host("Ledger", || Box::new(Ledger)));
-    let b = mesh.add_component(node, "victim", |c| c.host("Ledger", || Box::new(Ledger)));
-    let client = mesh.client();
-    client
-        .call(&ActorRef::new("Ledger", "x"), "record", vec![Value::Int(0)])
-        .unwrap();
-    mesh.kill_component(b);
-    assert!(mesh.wait_for_recoveries(1, Duration::from_secs(10)));
-    let adopted = mesh.partition_set(a).unwrap().adopted().to_vec();
-    assert_eq!(adopted.len(), 2);
-    // Well past the (disabled) 600 ms horizon the range is still adopted.
-    std::thread::sleep(Duration::from_millis(1500));
-    assert_eq!(mesh.partition_set(a).unwrap().adopted(), adopted);
-    assert_eq!(mesh.retired_partitions(a), Some(Vec::new()));
-    mesh.shutdown();
-}
-
 // ---------------------------------------------------------------------
 // State-cache eviction (PR 4 discovery, closed here)
 // ---------------------------------------------------------------------
@@ -471,7 +440,7 @@ fn retirement_knob_keeps_adopted_partitions_when_disabled() {
 /// (and counted), and the evicted actor transparently re-loads its durable
 /// state on the next touch.
 #[test]
-fn idle_actor_state_cache_entries_are_evicted_on_the_retention_clock() {
+fn idle_state_cache_entries_are_evicted_on_the_retention_clock() {
     // Retention compressed to 150 ms: the heartbeat-driven eviction clock
     // fires well within the test.
     let mesh = Mesh::new(MeshConfig {
