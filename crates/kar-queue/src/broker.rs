@@ -948,42 +948,6 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
         Ok((partition, offset))
     }
 
-    /// Appends a batch of keyed records, splitting it by target partition:
-    /// entries are grouped by the home partition their key hashes to
-    /// (relative order preserved within each partition), and each group is
-    /// appended as one [`Producer::send_batch`] — so a batch spanning
-    /// multiple partitions pays one lock acquisition and one durable ack per
-    /// partition touched, and each group's offsets are contiguous. Returns
-    /// the `(partition, offset range)` of every group, in first-touch order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Producer::send_keyed`]. If a group's append fails, the
-    /// error is returned and later groups are not appended.
-    pub fn send_keyed_batch(
-        &self,
-        topic: &str,
-        set: &PartitionSet,
-        entries: Vec<(String, M)>,
-    ) -> KarResult<Vec<(usize, Range<u64>)>> {
-        let mut groups: Vec<(usize, Vec<M>)> = Vec::new();
-        for (key, payload) in entries {
-            let partition = set
-                .partition_for_key(&key)
-                .ok_or_else(|| KarError::Queue(format!("empty partition set routing key {key}")))?;
-            match groups.iter_mut().find(|(p, _)| *p == partition) {
-                Some((_, group)) => group.push(payload),
-                None => groups.push((partition, vec![payload])),
-            }
-        }
-        let mut ranges = Vec::with_capacity(groups.len());
-        for (partition, payloads) in groups {
-            let range = self.send_batch(topic, partition, payloads)?;
-            ranges.push((partition, range));
-        }
-        Ok(ranges)
-    }
-
     /// The component this producer belongs to.
     pub fn component(&self) -> ComponentId {
         self.component
@@ -1957,59 +1921,6 @@ mod tests {
         assert!(producer
             .send_keyed("t", &PartitionSet::default(), "k", "x".into())
             .is_err());
-    }
-
-    #[test]
-    fn send_keyed_batch_splits_across_partitions_with_contiguous_offsets() {
-        let broker: Broker<String> = Broker::new(BrokerConfig::default());
-        broker.create_topic("t", 4).unwrap();
-        let set = PartitionSet::contiguous(0, 4);
-        let producer = broker.producer(c(1));
-        // Pre-existing records offset the logs so contiguity is non-trivial.
-        producer
-            .send_keyed("t", &set, "seed-a", "s".into())
-            .unwrap();
-        producer
-            .send_keyed("t", &set, "seed-b", "s".into())
-            .unwrap();
-
-        let entries: Vec<(String, String)> = (0..32)
-            .map(|i| (format!("k{}", i % 8), format!("v{i}")))
-            .collect();
-        let ranges = producer
-            .send_keyed_batch("t", &set, entries.clone())
-            .unwrap();
-        assert!(ranges.len() > 1, "8 keys over 4 partitions must split");
-        let mut total = 0;
-        for (partition, range) in &ranges {
-            assert!(set.home().contains(partition));
-            // The range is contiguous and its records are really there.
-            assert!(range.end >= range.start);
-            total += (range.end - range.start) as usize;
-            assert_eq!(broker.end_offset("t", *partition), range.end);
-        }
-        assert_eq!(total, entries.len(), "batch records lost or duplicated");
-        // Per-partition relative order matches the entry order: replay the
-        // routing and compare payload sequences.
-        for (partition, range) in &ranges {
-            let expected: Vec<String> = entries
-                .iter()
-                .filter(|(key, _)| set.partition_for_key(key) == Some(*partition))
-                .map(|(_, payload)| payload.clone())
-                .collect();
-            let got: Vec<String> = broker
-                .read_partition("t", *partition)
-                .into_iter()
-                .filter(|r| r.offset >= range.start)
-                .map(Record::into_payload)
-                .collect();
-            assert_eq!(got, expected, "partition {partition} order broken");
-        }
-        // Empty batch: no ranges, nothing appended.
-        assert!(producer
-            .send_keyed_batch("t", &set, vec![])
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

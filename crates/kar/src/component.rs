@@ -59,7 +59,7 @@ use crate::aging::{AgingMap, AgingSet};
 use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{state_key, ActorContext};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
-use crate::delivery::{RequestBatcher, ResponseBatcher};
+use crate::delivery::ResponseBatcher;
 use crate::dispatch::DispatchPool;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::placement::{LiveSet, PlacementService};
@@ -184,107 +184,6 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Flush a drain-local completion buffer once it groups this many
-/// completions, even mid-drain.
-const RESPONSE_RUN_CAP: usize = 16;
-/// Flush a drain-local completion buffer once its oldest completion has
-/// waited this long: bounds the extra latency buffering can add to any one
-/// response to roughly one invocation, however long the drain runs.
-const RESPONSE_RUN_HOLD: Duration = Duration::from_millis(1);
-
-/// One pre-grouped run of completions taken out of a drain-local buffer,
-/// paired with the core that must flush it.
-type PendingRun = (Arc<ComponentCore>, Vec<(usize, Envelope)>);
-
-/// One drain-local completion buffer on this thread's stack, owned by an
-/// `invocation_loop` frame. Completions the frame produces are grouped here
-/// and handed to the owning core's `ResponseBatcher` as pre-grouped
-/// per-partition runs — one pending-queue lock per run instead of one per
-/// completion — when the drain ends, the buffer fills or goes stale, or the
-/// thread is about to block.
-struct ResponseRun {
-    /// Identity of the owning core (an `Arc` pointer, only ever compared):
-    /// a frame buffers only into a top-of-stack entry opened by its own
-    /// core, so two components interleaved on one thread never mix runs.
-    owner: usize,
-    /// The owning core, so `flush_thread_completions` can flush buffers
-    /// whose frames are suspended under a nested pump.
-    core: Arc<ComponentCore>,
-    /// `(destination partition, completion)` in send order.
-    buffered: Vec<(usize, Envelope)>,
-    /// When the oldest buffered completion was produced.
-    opened: Duration,
-}
-
-thread_local! {
-    /// Drain-local completion buffers, one per `invocation_loop` frame on
-    /// this thread, innermost last (mirroring `SHARD_CLAIMS`). Reentrant
-    /// pumping pushes a fresh buffer per nested frame, so a suspended outer
-    /// frame never interleaves its completions with a nested drain's.
-    static RESPONSE_RUNS: std::cell::RefCell<Vec<ResponseRun>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Flushes every drain-local completion buffered on this thread. Called
-/// before any blocking wait and after every nested pump, so a parked frame
-/// never holds completions hostage: everything this thread produced is on
-/// its way to the broker before the thread stops making progress. The
-/// buffers stay on the stack (empty) for the frames that own them.
-pub(crate) fn flush_thread_completions() {
-    // Collect outside the borrow: flushing appends to the broker, and the
-    // borrow must not be live if that ever re-enters this thread-local.
-    let runs: Vec<PendingRun> = RESPONSE_RUNS.with(|stack| {
-        stack
-            .borrow_mut()
-            .iter_mut()
-            .filter(|run| !run.buffered.is_empty())
-            .map(|run| (Arc::clone(&run.core), std::mem::take(&mut run.buffered)))
-            .collect()
-    });
-    for (core, buffered) in runs {
-        core.flush_completion_run(buffered);
-    }
-}
-
-/// RAII scope of one `invocation_loop` frame's drain-local buffer: opens a
-/// buffer for `core` when response batching is on, and flushes + pops it on
-/// every frame exit (returns, parks, and panics alike).
-struct ResponseRunGuard {
-    active: bool,
-}
-
-impl ResponseRunGuard {
-    fn open(core: &Arc<ComponentCore>) -> Self {
-        let active = core.responses.is_some();
-        if active {
-            RESPONSE_RUNS.with(|stack| {
-                stack.borrow_mut().push(ResponseRun {
-                    owner: Arc::as_ptr(core) as usize,
-                    core: Arc::clone(core),
-                    buffered: Vec::new(),
-                    opened: mono_now(),
-                });
-            });
-        }
-        ResponseRunGuard { active }
-    }
-}
-
-impl Drop for ResponseRunGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        // Frames are strictly LIFO (function calls), so the top entry is
-        // this frame's own buffer.
-        if let Some(run) = RESPONSE_RUNS.with(|stack| stack.borrow_mut().pop()) {
-            if !run.buffered.is_empty() {
-                run.core.flush_completion_run(run.buffered);
-            }
-        }
-    }
-}
-
 /// The runtime core of one application component.
 pub struct ComponentCore {
     pub(crate) id: ComponentId,
@@ -348,10 +247,9 @@ pub struct ComponentCore {
     /// completions towards one caller partition share a lock acquisition and
     /// a durable ack. `None` when `MeshConfig::response_batching` is off.
     responses: Option<ResponseBatcher>,
-    /// Per-destination-component request batching (the request-leg mirror of
-    /// the response batcher): concurrent sends towards one component share a
-    /// keyed batch append. `None` when `MeshConfig::request_batching` is off.
-    requests: Option<RequestBatcher>,
+    /// Requests this component has durably appended (one keyed append
+    /// each); reported as both halves of `request_batch_stats`.
+    requests_appended: AtomicU64,
     /// Broker-clock instants at which each currently-adopted partition was
     /// adopted; drives the retirement horizon (see `maybe_retire_partitions`).
     adopted_at: Mutex<HashMap<usize, Duration>>,
@@ -465,7 +363,6 @@ impl ComponentCore {
         // idle for one to two windows is dropped and reloaded on next touch.
         let state_cache_interval = config.time_scale.compress(config.retention);
         let response_batcher = config.response_batching.then(ResponseBatcher::new);
-        let request_batcher = config.request_batching.then(RequestBatcher::new);
         ComponentCore {
             id,
             node,
@@ -495,7 +392,7 @@ impl ComponentCore {
             heartbeats_stopped: AtomicBool::new(false),
             consumed_offsets: RwLock::new(consumed_offsets),
             responses: response_batcher,
-            requests: request_batcher,
+            requests_appended: AtomicU64::new(0),
             adopted_at: Mutex::new(HashMap::new()),
             retired: Mutex::new(Vec::new()),
             actors: Mutex::new(HashMap::new()),
@@ -624,15 +521,10 @@ impl ComponentCore {
         self.pending_calls.lock().clear();
         self.deferred.lock().clear();
         self.inflight.lock().clear();
-        // Buffered (not yet appended) completions and requests die with the
-        // process; the affected requests' queue copies drive the retry.
-        // Clearing the request batcher also poisons it, waking enqueuers
-        // parked on an in-flight flush.
+        // Buffered (not yet appended) completions die with the process; the
+        // affected requests' queue copies drive the retry.
         if let Some(responses) = &self.responses {
             responses.clear();
-        }
-        if let Some(requests) = &self.requests {
-            requests.clear();
         }
         // Records already routed to shard queues are in-memory state: lost
         // with the process. Their queue copies survive and drive the retry.
@@ -732,12 +624,10 @@ impl ComponentCore {
                     .collect()
             };
             let (enqueued, flushes) = self.response_batch_stats();
-            let (req_enqueued, req_flushes) = self.request_batch_stats();
             let _ = writeln!(
                 out,
                 "  delivery: consumers={} retire_in=[{}] retired={:?} \
-                 response_batches={flushes}/{enqueued} \
-                 request_batches={req_flushes}/{req_enqueued}",
+                 response_batches={flushes}/{enqueued}",
                 self.consumer_thread_count(),
                 horizons.join(", "),
                 self.retired.lock(),
@@ -909,10 +799,6 @@ impl ComponentCore {
     /// never idles a thread of the fixed pool; other threads park on the
     /// placement repair signal.
     pub(crate) fn send_request(self: &Arc<Self>, message: RequestMessage) -> KarResult<()> {
-        // A durable append may block (batched ack, stale-placement wait):
-        // flush buffered completions first so nothing this thread produced
-        // is held back while it waits.
-        flush_thread_completions();
         let deadline = mono_now() + self.config.call_timeout;
         let component = loop {
             if !self.is_alive() {
@@ -954,24 +840,11 @@ impl ComponentCore {
     }
 
     /// Appends `message` to `component`'s queue, hashed by actor key over
-    /// its home set — through the request batcher (one keyed batch append
-    /// per burst towards the component) when `MeshConfig::request_batching`
-    /// is on, or as a plain keyed append otherwise. Either way the append is
-    /// durable when this returns. Routing goes through the broker's keyed
-    /// producer API, so the runtime and the broker share one routing
-    /// implementation.
+    /// its home set: one keyed append, durable when this returns. Routing
+    /// goes through the broker's keyed producer API, so the runtime and the
+    /// broker share one routing implementation.
     fn send_request_to(&self, component: ComponentId, message: RequestMessage) -> KarResult<()> {
         let key = message.target.qualified_name();
-        if let Some(batcher) = &self.requests {
-            return batcher.send(
-                &self.producer,
-                &self.topic,
-                |c| self.topology.read().get(&c).cloned(),
-                component,
-                key,
-                Envelope::Request(message),
-            );
-        }
         let set = self
             .topology
             .read()
@@ -988,13 +861,14 @@ impl ComponentCore {
             self.producer
                 .send_keyed(&self.topic, &set, &key, envelope.clone())
         })?;
+        self.requests_appended.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Appends `envelope` to `partition` of this component's topic, through
     /// the response batcher (one lock + one durable ack per burst towards
-    /// the partition) when `MeshConfig::response_batching` is on, or as a
-    /// plain keyed append otherwise.
+    /// the partition) when `MeshConfig::response_batching` is on, or as one
+    /// plain append otherwise.
     fn send_completion(&self, partition: usize, envelope: Envelope) {
         match &self.responses {
             Some(batcher) => batcher.enqueue(&self.producer, &self.topic, partition, envelope),
@@ -1004,74 +878,11 @@ impl ComponentCore {
         }
     }
 
-    /// [`Self::send_completion`] through this thread's innermost drain-local
-    /// buffer when one is open for this core: the completion joins the
-    /// frame's pre-grouped run instead of taking the batcher's pending lock
-    /// by itself. Falls back to the direct path when no matching buffer is
-    /// open (client threads, sweeps outside a drain, batching disabled).
-    fn send_completion_buffered(self: &Arc<Self>, partition: usize, envelope: Envelope) {
-        if self.responses.is_none() {
-            self.send_completion(partition, envelope);
-            return;
-        }
-        let owner = Arc::as_ptr(self) as usize;
-        let (direct, full) = RESPONSE_RUNS.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            match stack.last_mut() {
-                Some(run) if run.owner == owner => {
-                    if run.buffered.is_empty() {
-                        run.opened = mono_now();
-                    }
-                    run.buffered.push((partition, envelope));
-                    let flush = run.buffered.len() >= RESPONSE_RUN_CAP
-                        || mono_now().saturating_sub(run.opened) >= RESPONSE_RUN_HOLD;
-                    let drained = if flush {
-                        std::mem::take(&mut run.buffered)
-                    } else {
-                        Vec::new()
-                    };
-                    (None, drained)
-                }
-                _ => (Some(envelope), Vec::new()),
-            }
-        });
-        if let Some(envelope) = direct {
-            self.send_completion(partition, envelope);
-        } else if !full.is_empty() {
-            self.flush_completion_run(full);
-        }
-    }
-
-    /// Hands one drain-local run to the response batcher, pre-grouped: one
-    /// pending-queue push per destination partition for the whole run,
-    /// instead of one lock round per completion, preserving send order
-    /// within each partition.
-    fn flush_completion_run(&self, buffered: Vec<(usize, Envelope)>) {
-        let Some(batcher) = &self.responses else {
-            for (partition, envelope) in buffered {
-                let _ = self.producer.send(&self.topic, partition, envelope);
-            }
-            return;
-        };
-        // A drain's fan-out spans few distinct partitions, so a linear scan
-        // beats hashing here.
-        let mut runs: Vec<(usize, Vec<Envelope>)> = Vec::new();
-        for (partition, envelope) in buffered {
-            match runs.iter_mut().find(|(p, _)| *p == partition) {
-                Some((_, run)) => run.push(envelope),
-                None => runs.push((partition, vec![envelope])),
-            }
-        }
-        for (partition, run) in runs {
-            batcher.enqueue_run(&self.producer, &self.topic, partition, run);
-        }
-    }
-
     /// Sends the response for `request` to the queue of whoever is waiting
     /// for it: the component recorded in `reply_to` if it is still live, or
     /// the component currently hosting the caller actor otherwise (which is
     /// how responses survive the re-placement of their caller).
-    pub(crate) fn send_response(self: &Arc<Self>, request: &RequestMessage, result: Payload) {
+    pub(crate) fn send_response(&self, request: &RequestMessage, result: Payload) {
         if !request.kind.expects_response() {
             return;
         }
@@ -1088,7 +899,7 @@ impl ComponentCore {
             if self.live.read().contains(&reply_to) {
                 if let Some(partition) = self.partition_for(reply_to, &Self::response_key(request))
                 {
-                    self.send_completion_buffered(partition, Envelope::Response(response));
+                    self.send_completion(partition, Envelope::Response(response));
                     return;
                 }
             }
@@ -1308,10 +1119,6 @@ impl ComponentCore {
         // call timeout (the callee's reentrant callback hashes to the very
         // shard this caller's claim is wedging).
         self.yield_shard_claim();
-        // And hand any buffered completions to the batcher: a response this
-        // frame produced earlier in the drain must not wait out this park —
-        // its caller's progress may be exactly what unblocks us.
-        flush_thread_completions();
         // A blocking `ctx.call` on a reactor thread must not idle a thread
         // of the fixed pool: interleave short waits with pumping the mesh
         // (work-while-waiting), so the nested request — and everything else
@@ -1760,11 +1567,6 @@ impl ComponentCore {
         mut reentrant: bool,
         mut resumed: Option<KarResult<Outcome>>,
     ) {
-        // Drain-local response buffering: completions this frame produces
-        // are grouped per destination partition and handed to the batcher
-        // as single runs — flushed when the frame exits (this guard), when
-        // the buffer fills or goes stale, and before any blocking wait.
-        let _run_guard = ResponseRunGuard::open(&self);
         loop {
             if !self.is_alive() {
                 return;
@@ -3041,11 +2843,12 @@ impl ComponentCore {
         self.continuations.parked_total()
     }
 
-    /// `(requests enqueued, batch appends performed)` by the request
-    /// batcher; `(0, 0)` when `MeshConfig::request_batching` is off. The
-    /// ratio is the per-destination amortization of the request leg.
+    /// `(requests appended, appends performed)` on the request leg. Every
+    /// request is its own keyed append, so both halves are the same count
+    /// and their ratio is always 1.
     pub fn request_batch_stats(&self) -> (u64, u64) {
-        self.requests.as_ref().map_or((0, 0), RequestBatcher::stats)
+        let appended = self.requests_appended.load(Ordering::Relaxed);
+        (appended, appended)
     }
 
     /// The adopted partitions this component has retired so far, in

@@ -1,6 +1,5 @@
-//! Per-destination batching (group commit for the delivery plane): response
-//! batching per destination partition ([`ResponseBatcher`]) and request
-//! batching per destination component ([`RequestBatcher`]).
+//! Per-destination-partition response batching (group commit for the
+//! delivery plane): [`ResponseBatcher`].
 //!
 //! Every response — and every tail-call continuation to the sending actor's
 //! own partition — is a durable queue append, and the durable-ack latency is
@@ -28,16 +27,18 @@
 //! component was fenced or killed mid-completion) drops the buffered
 //! responses — exactly like a kill between `send_response` and the append —
 //! and the callers' queue copies drive the retry.
+//!
+//! The request leg has no batcher: a request is one keyed append, durable
+//! when `send_request` returns.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use kar_queue::{PartitionSet, Producer};
-use kar_types::{ComponentId, Envelope, KarError, KarResult, WaitSignal};
+use kar_queue::Producer;
+use kar_types::Envelope;
 
 /// The pending queue of one destination partition.
 #[derive(Default)]
@@ -93,46 +94,9 @@ impl ResponseBatcher {
             }
             state.flushing = true;
         }
-        self.flush_loop(producer, topic, partition, &queue);
-    }
-
-    /// [`ResponseBatcher::enqueue`] for a pre-grouped *run* of completions
-    /// towards one destination partition: the whole run enters the partition
-    /// queue under a single lock acquisition instead of one per completion.
-    /// The dispatch layer's drain-local buffering groups one mailbox drain's
-    /// completions by destination partition and hands each group over here.
-    pub(crate) fn enqueue_run(
-        &self,
-        producer: &Producer<Envelope>,
-        topic: &str,
-        partition: usize,
-        run: Vec<Envelope>,
-    ) {
-        if run.is_empty() {
-            return;
-        }
-        self.enqueued.fetch_add(run.len() as u64, Ordering::Relaxed);
-        let queue = self.queue(partition);
-        {
-            let mut state = queue.lock();
-            state.pending.extend(run);
-            if state.flushing {
-                return;
-            }
-            state.flushing = true;
-        }
-        self.flush_loop(producer, topic, partition, &queue);
-    }
-
-    /// Drains `queue` in rounds — each round one batch append — until it is
-    /// empty, then releases the flusher claim. Entered holding the claim.
-    fn flush_loop(
-        &self,
-        producer: &Producer<Envelope>,
-        topic: &str,
-        partition: usize,
-        queue: &Arc<Mutex<PartitionQueue>>,
-    ) {
+        // This thread holds the flusher claim: drain the queue in rounds —
+        // each round one batch append — until it is empty.
+        //
         // Consecutive transiently-failed rounds replayed so far: a gray
         // failure on one response flush must not cost every buffered caller
         // a redelivery round trip. Duplicate responses from an ack-lost
@@ -198,252 +162,12 @@ impl ResponseBatcher {
     }
 }
 
-/// The pending queue of one destination *component* on the request leg.
-#[derive(Default)]
-struct DestinationQueue {
-    /// `(routing key, envelope)` pairs awaiting the next keyed batch append.
-    pending: Vec<(String, Envelope)>,
-    /// True while some thread is flushing this destination.
-    flushing: bool,
-    /// Tickets issued to enqueuers; ticket N is the (N+1)-th envelope ever
-    /// enqueued for this destination.
-    issued: u64,
-    /// Tickets whose envelope has been durably appended.
-    completed: u64,
-    /// Sticky failure: this producer was fenced/killed or the destination's
-    /// partition set vanished. All parked and future sends fail fast.
-    /// Transient append failures (injected gray faults) are *not* terminal:
-    /// the flusher replays the round a bounded number of times before it
-    /// concludes the substrate is genuinely down and poisons the queue.
-    poisoned: bool,
-}
-
-/// One destination's queue plus the signal its waiters park on.
-#[derive(Default)]
-struct DestinationState {
-    queue: Mutex<DestinationQueue>,
-    /// Bumped whenever `completed` advances or the queue is poisoned.
-    progress: WaitSignal,
-}
-
-/// Per-destination-component request batching: the request-leg mirror of
-/// [`ResponseBatcher`].
-///
-/// The request leg differs from the response leg in two ways. First, sends
-/// are *keyed*: each request hashes onto its destination's home set by actor
-/// key, so a burst towards one component is flushed through
-/// [`kar_queue::Producer::send_keyed_batch`] — one topic-lock traversal and
-/// one durable ack per flush, fanned out to the set's partitions inside the
-/// broker. Second, `send_request` has a durability contract (`ctx.tell`
-/// returns *after* the request is durably enqueued), so enqueuers cannot
-/// fire-and-forget: each takes a ticket and parks on the destination's
-/// progress signal until its ticket is covered by a completed flush (or the
-/// queue is poisoned by a failed one). The first enqueuer of an idle
-/// destination becomes the flusher, exactly like the response leg.
-#[derive(Default)]
-pub(crate) struct RequestBatcher {
-    destinations: Mutex<HashMap<ComponentId, Arc<DestinationState>>>,
-    /// Envelopes enqueued since creation.
-    enqueued: AtomicU64,
-    /// Keyed batch appends performed; `enqueued / flushes` is the achieved
-    /// request-leg amortization.
-    flushes: AtomicU64,
-}
-
-impl RequestBatcher {
-    pub(crate) fn new() -> Self {
-        RequestBatcher::default()
-    }
-
-    fn destination(&self, component: ComponentId) -> Arc<DestinationState> {
-        self.destinations
-            .lock()
-            .entry(component)
-            .or_default()
-            .clone()
-    }
-
-    /// Appends `envelope` (keyed by `key`) to `destination`'s queue, batched
-    /// with concurrent sends towards the same destination. Returns once the
-    /// append is durable. `set_of` resolves a component's current partition
-    /// set — looked up at *flush* time, so a batch drained after a topology
-    /// update routes over the fresh set.
-    pub(crate) fn send(
-        &self,
-        producer: &Producer<Envelope>,
-        topic: &str,
-        set_of: impl Fn(ComponentId) -> Option<PartitionSet>,
-        destination: ComponentId,
-        key: String,
-        envelope: Envelope,
-    ) -> KarResult<()> {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        let state = self.destination(destination);
-        let ticket = {
-            let mut queue = state.queue.lock();
-            if queue.poisoned {
-                return Err(Self::poison_error(destination));
-            }
-            let ticket = queue.issued;
-            queue.issued += 1;
-            queue.pending.push((key, envelope));
-            if queue.flushing {
-                // An in-flight flusher will drain this envelope on its next
-                // round; park until it covers our ticket.
-                ticket
-            } else {
-                queue.flushing = true;
-                drop(queue);
-                return self.flush(producer, topic, set_of, destination, &state, ticket);
-            }
-        };
-        self.await_ticket(&state, destination, ticket)
-    }
-
-    /// Drains the destination queue in rounds until it is empty, appending
-    /// each drained run as one keyed batch. Returns the fate of the caller's
-    /// own ticket.
-    fn flush(
-        &self,
-        producer: &Producer<Envelope>,
-        topic: &str,
-        set_of: impl Fn(ComponentId) -> Option<PartitionSet>,
-        destination: ComponentId,
-        state: &DestinationState,
-        my_ticket: u64,
-    ) -> KarResult<()> {
-        // Consecutive transiently-failed rounds replayed so far. A gray
-        // failure on one flush (an injected transient or dropped ack) must
-        // not poison the destination forever; the round is re-queued and
-        // re-sent instead. Duplicate records from an ack-lost append are
-        // absorbed by request-id dedup at the consumer.
-        let mut transient_rounds = 0u32;
-        loop {
-            let batch = {
-                let mut queue = state.queue.lock();
-                if queue.pending.is_empty() {
-                    queue.flushing = false;
-                    return Ok(());
-                }
-                std::mem::take(&mut queue.pending)
-            };
-            let count = batch.len() as u64;
-            // A replay copy is only kept while the fault plane is armed: an
-            // un-faulted in-process broker has no transient append errors,
-            // so the ordinary hot path moves the batch without copying.
-            let replay = producer.faults_armed().then(|| batch.clone());
-            let appended = match set_of(destination) {
-                Some(set) => producer
-                    .send_keyed_batch(topic, &set, batch)
-                    .map(|_offsets| ()),
-                None => Err(KarError::internal(format!(
-                    "no partition set recorded for {destination}"
-                ))),
-            };
-            let error = match appended {
-                Ok(()) => {
-                    self.flushes.fetch_add(1, Ordering::Relaxed);
-                    transient_rounds = 0;
-                    let mut queue = state.queue.lock();
-                    queue.completed += count;
-                    drop(queue);
-                    state.progress.bump();
-                    continue;
-                }
-                Err(error) => error,
-            };
-            if error.is_transient() && transient_rounds + 1 < crate::faults::TRANSIENT_ATTEMPTS {
-                if let Some(replay) = replay {
-                    transient_rounds += 1;
-                    // Restore the round at the front so envelopes still go
-                    // out in ticket order ahead of newly queued ones, and
-                    // let the loop re-drain it.
-                    let mut queue = state.queue.lock();
-                    queue.pending.splice(0..0, replay);
-                    continue;
-                }
-            }
-            // Fenced/killed mid-send, the destination is gone, or transient
-            // replays are exhausted (the substrate is genuinely down):
-            // terminal for this component. Poison the destination so parked
-            // and future enqueuers fail fast instead of waiting out their
-            // ticket.
-            let completed = {
-                let mut queue = state.queue.lock();
-                queue.poisoned = true;
-                queue.pending.clear();
-                queue.flushing = false;
-                queue.completed
-            };
-            state.progress.bump();
-            // Our own envelope was in an earlier, successful round iff our
-            // ticket is already covered.
-            return if completed > my_ticket {
-                Ok(())
-            } else {
-                Err(error)
-            };
-        }
-    }
-
-    /// Parks until `ticket` is covered by a completed flush or the
-    /// destination is poisoned.
-    fn await_ticket(
-        &self,
-        state: &DestinationState,
-        destination: ComponentId,
-        ticket: u64,
-    ) -> KarResult<()> {
-        loop {
-            let seen = state.progress.current();
-            {
-                let queue = state.queue.lock();
-                if queue.completed > ticket {
-                    return Ok(());
-                }
-                if queue.poisoned {
-                    return Err(Self::poison_error(destination));
-                }
-            }
-            state.progress.wait(seen, Duration::from_millis(50));
-        }
-    }
-
-    fn poison_error(destination: ComponentId) -> KarError {
-        KarError::internal(format!(
-            "request batching towards {destination} failed: producer fenced or destination gone"
-        ))
-    }
-
-    /// Poisons every destination and wakes parked enqueuers (the component
-    /// was killed: buffered requests die with it; waiters fail fast).
-    pub(crate) fn clear(&self) {
-        for state in self.destinations.lock().values() {
-            let mut queue = state.queue.lock();
-            queue.poisoned = true;
-            queue.pending.clear();
-            queue.flushing = false;
-            drop(queue);
-            state.progress.bump();
-        }
-    }
-
-    /// `(envelopes enqueued, keyed batch appends performed)` since creation;
-    /// the ratio is the request-batching amortization factor.
-    pub(crate) fn stats(&self) -> (u64, u64) {
-        (
-            self.enqueued.load(Ordering::Relaxed),
-            self.flushes.load(Ordering::Relaxed),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kar_queue::{Broker, BrokerConfig};
-    use kar_types::{RequestId, ResponseMessage, Value};
-    use std::collections::HashSet;
+    use kar_types::{ComponentId, RequestId, ResponseMessage, Value};
+    use std::time::Duration;
 
     fn response(id: u64) -> Envelope {
         Envelope::Response(ResponseMessage::ok(
@@ -534,147 +258,5 @@ mod tests {
         assert_eq!(broker.partition_len("t", 0), 0);
         batcher.clear();
         assert_eq!(batcher.stats().0, 2);
-    }
-
-    use kar_types::{ActorRef, RequestMessage};
-
-    fn request(id: u64, actor: &str) -> (String, Envelope) {
-        let target = ActorRef::new("A", actor);
-        let key = target.qualified_name();
-        let message = RequestMessage::root(RequestId::from_raw(id), target, "m", Vec::new());
-        (key, Envelope::Request(message))
-    }
-
-    fn keyed_setup(partitions: usize) -> (Broker<Envelope>, Producer<Envelope>, PartitionSet) {
-        let broker: Broker<Envelope> = Broker::new(BrokerConfig::default());
-        broker.create_topic("t", partitions).unwrap();
-        let producer = broker.producer(ComponentId::from_raw(1));
-        let set = PartitionSet::new((0..partitions).collect());
-        (broker, producer, set)
-    }
-
-    #[test]
-    fn request_batcher_is_durable_on_return_and_keyed() {
-        let (broker, producer, set) = keyed_setup(4);
-        let batcher = RequestBatcher::new();
-        let destination = ComponentId::from_raw(9);
-        for id in 0..12 {
-            let (key, envelope) = request(id, &format!("a{}", id % 3));
-            batcher
-                .send(
-                    &producer,
-                    "t",
-                    |_| Some(set.clone()),
-                    destination,
-                    key,
-                    envelope,
-                )
-                .unwrap();
-            // Durability on return: every send is visible once it returns.
-            let total: usize = (0..4).map(|p| broker.read_partition("t", p).len()).sum();
-            assert_eq!(total, (id + 1) as usize);
-        }
-        // Keyed routing: one actor's requests all land in one partition, so
-        // each of the 3 actors occupies exactly one partition.
-        let mut homes: HashMap<String, HashSet<usize>> = HashMap::new();
-        for partition in 0..4 {
-            for record in broker.read_partition("t", partition) {
-                if let Envelope::Request(request) = record.payload.as_ref() {
-                    homes
-                        .entry(request.target.qualified_name())
-                        .or_default()
-                        .insert(partition);
-                }
-            }
-        }
-        assert_eq!(homes.len(), 3);
-        assert!(homes.values().all(|partitions| partitions.len() == 1));
-        let (enqueued, flushes) = batcher.stats();
-        assert_eq!(enqueued, 12);
-        assert!((1..=12).contains(&flushes));
-    }
-
-    #[test]
-    fn concurrent_request_sends_share_keyed_batches() {
-        let broker: Broker<Envelope> = Broker::new(BrokerConfig {
-            append_latency: Duration::from_millis(2),
-            ..BrokerConfig::default()
-        });
-        broker.create_topic("t", 2).unwrap();
-        let producer = Arc::new(broker.producer(ComponentId::from_raw(1)));
-        let set = PartitionSet::new((0..2).collect());
-        let batcher = Arc::new(RequestBatcher::new());
-        let destination = ComponentId::from_raw(9);
-        let started = std::time::Instant::now();
-        let threads: Vec<_> = (0..8)
-            .map(|id| {
-                let producer = Arc::clone(&producer);
-                let batcher = Arc::clone(&batcher);
-                let set = set.clone();
-                std::thread::spawn(move || {
-                    let (key, envelope) = request(id, &format!("a{id}"));
-                    batcher
-                        .send(
-                            &producer,
-                            "t",
-                            |_| Some(set.clone()),
-                            destination,
-                            key,
-                            envelope,
-                        )
-                        .unwrap();
-                })
-            })
-            .collect();
-        for thread in threads {
-            thread.join().unwrap();
-        }
-        let elapsed = started.elapsed();
-        let total: usize = (0..2).map(|p| broker.read_partition("t", p).len()).sum();
-        assert_eq!(total, 8, "every request must land exactly once");
-        let (_, flushes) = batcher.stats();
-        assert!(
-            flushes < 8,
-            "8 concurrent sends never shared a flush ({flushes} flushes)"
-        );
-        assert!(
-            elapsed < Duration::from_millis(14),
-            "request batching did not amortize the acks: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn poisoned_request_batcher_fails_fast() {
-        let (broker, producer, set) = keyed_setup(1);
-        broker.fence(ComponentId::from_raw(1));
-        let batcher = RequestBatcher::new();
-        let destination = ComponentId::from_raw(9);
-        let (key, envelope) = request(1, "a");
-        assert!(batcher
-            .send(
-                &producer,
-                "t",
-                |_| Some(set.clone()),
-                destination,
-                key,
-                envelope
-            )
-            .is_err());
-        // Poison is sticky: later sends fail immediately instead of parking
-        // on a ticket no flusher will ever cover.
-        let (key, envelope) = request(2, "a");
-        let started = std::time::Instant::now();
-        assert!(batcher
-            .send(
-                &producer,
-                "t",
-                |_| Some(set.clone()),
-                destination,
-                key,
-                envelope
-            )
-            .is_err());
-        assert!(started.elapsed() < Duration::from_millis(40));
-        assert_eq!(broker.partition_len("t", 0), 0);
     }
 }

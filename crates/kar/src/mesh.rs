@@ -146,13 +146,6 @@ pub(crate) fn pump_current_reactor() -> bool {
             did |= shared.run_tick(false);
         }
         depth.set(depth.get() - 1);
-        // Pumped work running outside an invocation frame (timeout sweeps,
-        // admission-gate settlements) may have buffered completions into a
-        // suspended frame's drain-local run; hand them to the batcher before
-        // the waiting frame parks again.
-        if did {
-            crate::component::flush_thread_completions();
-        }
         did
     })
 }
@@ -396,9 +389,6 @@ impl Mesh {
                     let mut did = false;
                     for core in &components {
                         did |= core.pump();
-                    }
-                    if did {
-                        crate::component::flush_thread_completions();
                     }
                     did
                 });
@@ -809,8 +799,8 @@ impl Mesh {
             .map(|core| core.continuation_parks())
     }
 
-    /// `(requests enqueued, batch appends performed)` by one component's
-    /// request batcher (`(0, 0)` with `request_batching` off).
+    /// `(requests appended, appends performed)` by one component. Each
+    /// request is one keyed append, so the two values are always equal.
     pub fn request_batch_stats(&self, component: ComponentId) -> Option<(u64, u64)> {
         self.inner
             .components

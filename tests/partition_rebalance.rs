@@ -23,8 +23,8 @@
 //! The property tests (offline proptest shim) pin down the two routing
 //! invariants the tentpole rests on: partition routing is *stable under
 //! assignment-table changes* (adoption never re-routes a key) and batch
-//! appends keep *contiguous offsets per partition* even when a keyed batch
-//! spans several partitions.
+//! appends keep *contiguous offsets per partition* even when one round of
+//! keyed entries spans several partitions.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -588,9 +588,10 @@ proptest! {
     }
 
     /// Batch appends keep contiguous offsets per partition: whatever mix of
-    /// keyed batches hits a topic, each partition's log is a gapless offset
-    /// sequence and every batch's range starts exactly where the partition's
-    /// previous append ended.
+    /// keyed entries hits a topic — grouped by the home partition each key
+    /// routes to, each group appended as one batch — each partition's log is
+    /// a gapless offset sequence and every batch's range starts exactly
+    /// where the partition's previous append ended.
     #[test]
     fn batch_offsets_stay_contiguous_per_partition(
         partitions in 1usize..5,
@@ -611,8 +612,17 @@ proptest! {
                 })
                 .collect();
             let count = entries.len() as u64;
+            let mut groups: Vec<(usize, Vec<String>)> = Vec::new();
+            for (key, payload) in entries {
+                let partition = set.partition_for_key(&key).unwrap();
+                match groups.iter_mut().find(|(p, _)| *p == partition) {
+                    Some((_, group)) => group.push(payload),
+                    None => groups.push((partition, vec![payload])),
+                }
+            }
             let mut appended = 0u64;
-            for (partition, range) in producer.send_keyed_batch("t", &set, entries).unwrap() {
+            for (partition, payloads) in groups {
+                let range = producer.send_batch("t", partition, payloads).unwrap();
                 prop_assert_eq!(
                     range.start, expected_end[partition],
                     "partition {} batch did not start at the previous end", partition

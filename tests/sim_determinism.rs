@@ -156,3 +156,36 @@ fn perturbing_the_kill_step_changes_the_schedule_but_not_the_answers() {
         "moving the kill by one step is a different schedule"
     );
 }
+
+#[test]
+fn the_simulator_runs_the_production_delivery_plane() {
+    let seed = 5;
+    assert_eq!(
+        MeshConfig::deterministic(seed).response_batching,
+        MeshConfig::for_tests().response_batching,
+        "the simulator must not switch the delivery plane off"
+    );
+    let mesh = Mesh::new(MeshConfig::deterministic(seed));
+    let node = mesh.add_node();
+    let server = mesh.add_component(node, "alpha", |b| {
+        b.host("Counter", || Box::new(Accumulator))
+    });
+    let client = mesh.client();
+    let actor = ActorRef::new("Counter", "c0");
+    client
+        .call(&actor, "set", vec![Value::Int(1)])
+        .expect("set");
+    let (enqueued, appends) = mesh
+        .response_batch_stats(server)
+        .expect("the server is registered");
+    assert!(
+        enqueued > 0 && appends > 0,
+        "the response went through the response batcher: ({enqueued}, {appends})"
+    );
+    assert_eq!(
+        mesh.request_batch_stats(client.component_id()),
+        Some((1, 1)),
+        "the request was one keyed append"
+    );
+    mesh.shutdown();
+}
