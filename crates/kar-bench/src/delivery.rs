@@ -153,7 +153,12 @@ pub fn measure_call_path(batching: bool, config: &DeliveryConfig) -> DeliveryRep
     // so the request legs genuinely spread and the client's single response
     // partition is the serial station under test. Key routing is a stable
     // hash over the home set, so the pick is computed, not probed.
-    let server_set = mesh.partition_set(server).expect("server set");
+    let server_set = mesh
+        .snapshot()
+        .component(server)
+        .expect("server snapshot")
+        .partitions
+        .clone();
     let per_partition = config.callers.div_ceil(config.server_partitions);
     let mut fill = vec![0usize; config.server_partitions];
     let mut actors: Vec<ActorRef> = Vec::with_capacity(config.callers);

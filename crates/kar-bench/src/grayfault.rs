@@ -248,8 +248,9 @@ pub fn measure_arm(arm: &'static str, config: &GrayFaultConfig) -> GrayFaultRepo
             .unwrap_or(0);
     }
 
-    let fault_stats = mesh.fault_stats().unwrap_or_default();
-    let metrics = mesh.retry_metrics();
+    let snapshot = mesh.snapshot();
+    let fault_stats = snapshot.faults.unwrap_or_default();
+    let metrics = snapshot.retry;
     mesh.shutdown();
 
     GrayFaultReport {

@@ -309,8 +309,13 @@ pub fn measure_skewed(config: &SkewedConfig) -> SkewedReport {
     }
     let elapsed = started.elapsed();
 
-    let shard_loads = mesh.shard_loads(server).expect("server shard loads");
-    let steals = mesh.steal_count(server).expect("server steal count");
+    let snapshot = mesh.snapshot();
+    let dispatch = &snapshot
+        .component(server)
+        .expect("server snapshot")
+        .dispatch;
+    let shard_loads: Vec<u64> = dispatch.shards.iter().map(|shard| shard.load).collect();
+    let steals = dispatch.steals;
     let placement = mesh
         .placement_counters(client.component_id())
         .expect("client placement counters");

@@ -152,16 +152,13 @@ pub fn measure_partitions(partitions: usize, config: &PartitionSweepConfig) -> P
     }
     let elapsed = started.elapsed();
 
-    let touched = mesh
-        .partition_set(server)
-        .map(|set| {
-            let broker = mesh.broker();
-            set.home()
-                .iter()
-                .filter(|partition| broker.end_offset("kar", **partition) > 0)
-                .count()
-        })
-        .unwrap_or(0);
+    let touched = mesh.snapshot().component(server).map_or(0, |c| {
+        let home = c.partitions.home();
+        c.queues
+            .iter()
+            .filter(|q| home.contains(&q.partition) && q.end_offset > 0)
+            .count()
+    });
     mesh.shutdown();
 
     latencies.sort();

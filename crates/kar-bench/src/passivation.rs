@@ -207,8 +207,8 @@ pub fn measure_arm(bounded: bool, config: &PassivationBenchConfig) -> Passivatio
         let peak = Arc::clone(&peak);
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                if let Some(resident) = mesh.resident_actors(server) {
-                    peak.fetch_max(resident, Ordering::Relaxed);
+                if let Some(c) = mesh.snapshot().component(server) {
+                    peak.fetch_max(c.resident, Ordering::Relaxed);
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -245,10 +245,13 @@ pub fn measure_arm(bounded: bool, config: &PassivationBenchConfig) -> Passivatio
         distinct.extend(touched);
     }
     sampler.join().expect("resident sampler");
-    let final_resident = mesh.resident_actors(server).unwrap_or(0);
+    let snapshot = mesh.snapshot();
+    let server_snapshot = snapshot.component(server).expect("server snapshot");
+    let final_resident = server_snapshot.resident;
     let peak_resident = peak.load(Ordering::Relaxed).max(final_resident);
-    let (passivations, rehydrations, admission_deferrals) =
-        mesh.passivation_stats(server).unwrap_or((0, 0, 0));
+    let passivations = server_snapshot.passivations;
+    let rehydrations = server_snapshot.rehydrations;
+    let admission_deferrals = server_snapshot.admission_deferrals;
     mesh.shutdown();
 
     PassivationBenchReport {

@@ -237,7 +237,7 @@ pub fn measure_arm(policy: bool, config: &RetryBenchConfig) -> RetryBenchReport 
     for driver in failing {
         failing_calls += driver.join().expect("failing driver");
     }
-    let metrics = mesh.retry_metrics();
+    let metrics = mesh.snapshot().retry;
     mesh.shutdown();
 
     RetryBenchReport {

@@ -216,12 +216,15 @@ pub fn measure_topology(scale: &TopologyScale, config: &TopologyScaleConfig) -> 
     }
     let elapsed = started.elapsed();
 
-    let configured = mesh.reactor_thread_count();
+    let snapshot = mesh.snapshot();
+    let configured = snapshot.reactor_threads;
     let resident = threads_named("kar-reactor-").unwrap_or(configured);
-    let mut lanes = 0;
-    for component in mesh.live_components() {
-        lanes += mesh.consumer_threads(component).unwrap_or(0);
-    }
+    let lanes = snapshot
+        .components
+        .iter()
+        .filter(|c| c.alive)
+        .map(|c| c.lanes)
+        .sum();
     mesh.shutdown();
 
     latencies.sort();

@@ -129,7 +129,7 @@ impl PipelineResult {
 }
 
 /// A batch of buffered store commands bound to one client session (or to the
-/// administrative runtime). See the [module docs](self) for the flush
+/// administrative runtime). [`Pipeline::flush`] describes the flush
 /// semantics.
 #[derive(Debug)]
 pub struct Pipeline {
@@ -274,8 +274,9 @@ impl Pipeline {
 
     /// Applies every buffered command and returns their results in
     /// submission order. One round-trip latency charge and one fence check
-    /// for the whole batch; per-shard grouped application (see the
-    /// [module docs](self)).
+    /// for the whole batch. Commands are applied grouped by shard, in
+    /// submission order within each shard (so per key) but in shard order
+    /// across shards; [`Pipeline::fence`] orders commands across keys.
     ///
     /// An empty pipeline flushes for free and returns no results.
     ///

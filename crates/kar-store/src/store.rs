@@ -138,7 +138,7 @@ pub(crate) struct StoreInner {
     pub(crate) shards: Vec<Mutex<ShardData>>,
     /// Contended acquisitions per shard (a `try_lock` that had to fall back
     /// to a blocking `lock`). The imbalance/contention signal benchmarks and
-    /// `Mesh::debug_report` surface.
+    /// `Mesh::snapshot` surface.
     pub(crate) contention: Vec<AtomicU64>,
     /// Highest epoch each component is still allowed to use, in its own
     /// shard-free table so checking in never crosses data shards. The *read*

@@ -413,7 +413,7 @@ struct SiteState {
 }
 
 /// The injector threaded through the store and the broker. One instance is
-/// shared by both substrates of a mesh so `Mesh::fault_stats` reads one set
+/// shared by both substrates of a mesh so the mesh snapshot reads one set
 /// of counters.
 pub struct FaultInjector {
     plan: FaultPlan,

@@ -166,6 +166,7 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
     }
 
     /// Number of entries.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }

@@ -8,7 +8,7 @@
 //! re-home a failed component's partition *ranges* onto survivors as
 //! drain-only *adopted* partitions. The component announces the actor types
 //! it hosts, routes polled requests by actor identity onto a sharded
-//! dispatch queue (see [`crate::dispatch`]) that admits them to per-actor
+//! dispatch queue (see `crate::dispatch`) that admits them to per-actor
 //! mailboxes (honouring the actor lock, reentrancy and tail-call lock
 //! retention of §2.2–2.3 and §4.1), sends responses back to callers'
 //! queues (hashed onto the caller's partition set), and defers re-homed
@@ -18,10 +18,10 @@
 //! The component owns **no threads**. All of its partitions and dispatch
 //! shards are pumped by the mesh's fixed reactor pool
 //! ([`crate::mesh`], `MeshConfig::reactor_threads`) through
-//! [`ComponentCore::pump`], and its periodic duties (heartbeat, bookkeeping
+//! `ComponentCore::pump`, and its periodic duties (heartbeat, bookkeeping
 //! aging, continuation timeouts, orphaned-response routing, partition
 //! retirement) run on the mesh's single timer thread through
-//! [`ComponentCore::tick`]. Handlers that issue nested calls park a
+//! `ComponentCore::tick`. Handlers that issue nested calls park a
 //! continuation instead of blocking a thread (see [`crate::continuation`]);
 //! invocations for distinct actors still execute in parallel, up to the
 //! reactor-pool width at a time.
@@ -64,6 +64,7 @@ use crate::dispatch::DispatchPool;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::placement::{LiveSet, PlacementService};
 use crate::retry::{BreakerRegistry, RetryBudget};
+use crate::snapshot::{ActorSnapshot, ComponentSnapshot, PartitionQueue};
 use crate::state_cache::StateCache;
 
 /// The mesh-wide dead-letter queue topic: one partition per component, keyed
@@ -73,9 +74,16 @@ use crate::state_cache::StateCache;
 /// `Mesh::dlq_retry`.
 pub(crate) const DLQ_TOPIC: &str = "kar-dlq";
 
-/// Execution counters of one component, useful in tests and benchmarks.
+/// Base delay of the shaped backoff applied to deferred new-actor
+/// activations (wall-clock, like retry policies — not compressed by
+/// `MeshConfig::time_scale`). Grows exponentially with deterministic jitter
+/// on repeated deferral, capped at 16× the base.
+const ACTIVATION_BACKOFF: Duration = Duration::from_millis(25);
+
+/// Execution counters of one component, read through
+/// [`ComponentSnapshot`].
 #[derive(Debug, Default)]
-pub struct ComponentStats {
+pub(crate) struct ComponentStats {
     /// Invocations executed to completion (value, error, or tail call).
     pub executed: AtomicU64,
     /// Requests whose retry was postponed waiting for a pending callee.
@@ -298,8 +306,7 @@ pub struct ComponentCore {
     /// resident watermarks compare against. Mutated under the actors lock.
     resident_count: AtomicUsize,
     /// Total mailboxed (admitted, waiting behind a busy actor) requests
-    /// across all resident actors: what the mailbox watermark compares
-    /// against. Mutated under the actors lock.
+    /// across all resident actors. Mutated under the actors lock.
     mailboxed: AtomicUsize,
     /// Transient consumer-poll failures survived (injected or real). The
     /// consumer stays subscribed and is retried on the next sweep; only a
@@ -424,16 +431,6 @@ impl ComponentCore {
         self.id
     }
 
-    /// The node the component runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The component's human-readable name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// True until the component is killed or shut down.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
@@ -543,163 +540,118 @@ impl ComponentCore {
         self.wakeup.notify();
     }
 
-    /// The number of dispatch workers (shards) of this component.
-    pub fn dispatch_workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Requests each dispatch shard has admitted so far. The spread between
-    /// the hottest and the mean shard is the imbalance work stealing closes.
-    pub fn shard_loads(&self) -> Vec<u64> {
-        self.pool.shard_loads()
-    }
-
-    /// Number of whole-actor steals performed by this component's idle
-    /// dispatch workers.
-    pub fn steal_count(&self) -> u64 {
-        self.pool.steal_count()
-    }
-
-    /// Number of proactive steal wakeups issued by this component's dispatch
-    /// pool (an idle worker poked because a push crossed the depth
-    /// watermark, instead of waiting for its idle tick).
-    pub fn steal_wakeup_count(&self) -> u64 {
-        self.pool.steal_wakeup_count()
-    }
-
     /// A snapshot of the placement cache's hit/miss/invalidation counters.
     pub fn placement_counters(&self) -> crate::placement::PlacementCounters {
         self.placement.counters()
     }
 
-    /// Human-readable snapshot of this component's dispatch and actor state
-    /// (shard queues, steal routes, actor locks/mailboxes, deferred and
-    /// inflight sets) — for debugging stuck requests.
-    pub fn debug_snapshot(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let offsets: Vec<String> = {
-            let consumed = self.consumed_offsets.read();
-            let mut entries: Vec<(usize, u64)> = consumed
+    /// This component's part of [`Mesh::snapshot`](crate::Mesh::snapshot).
+    /// The actor, deferral, inflight and blocked-call tables are read under
+    /// `try_lock` (`None` when held), so a wedged component is reported
+    /// instead of deadlocking the reader.
+    pub(crate) fn snapshot(&self) -> ComponentSnapshot {
+        let partitions = self.partitions.read().clone();
+        let queues = partitions
+            .all()
+            .into_iter()
+            .map(|partition| PartitionQueue {
+                partition,
+                consumed: self.consumed_offset(partition),
+                len: self.broker.partition_len(&self.topic, partition),
+                end_offset: self.broker.end_offset(&self.topic, partition),
+            })
+            .collect();
+        let delay = self.config.scaled_retirement_delay();
+        let now = mono_now();
+        let mut retire_in: Vec<(usize, Duration)> = self
+            .adopted_at
+            .lock()
+            .iter()
+            .map(|(partition, adopted)| {
+                (
+                    *partition,
+                    delay.saturating_sub(now.saturating_sub(*adopted)),
+                )
+            })
+            .collect();
+        retire_in.sort_unstable();
+        let actors = self.actors.try_lock().map(|actors| {
+            let mut busy: Vec<ActorSnapshot> = actors
                 .iter()
-                .map(|(partition, slot)| (*partition, slot.load(Ordering::SeqCst)))
+                .filter(|(_, slot)| !Self::quiescent(slot))
+                .map(|(actor, slot)| ActorSnapshot {
+                    actor: actor.clone(),
+                    busy: slot.busy,
+                    awaiting_tail: slot.awaiting_tail,
+                    activation_parked: slot.activation_parked,
+                    mailbox: slot.mailbox.iter().map(|r| r.id).collect(),
+                })
+                .collect();
+            busy.sort_by(|a, b| a.actor.cmp(&b.actor));
+            busy
+        });
+        let deferred_on_callee = self.deferred.try_lock().map(|deferred| {
+            let mut entries: Vec<(RequestId, Vec<RequestId>)> = deferred
+                .iter()
+                .map(|(callee, requests)| (*callee, requests.iter().map(|r| r.id).collect()))
                 .collect();
             entries.sort_unstable();
             entries
-                .into_iter()
-                .map(|(partition, offset)| format!("{partition}:{offset}"))
-                .collect()
+        });
+        let sorted = |mut ids: Vec<RequestId>| {
+            ids.sort_unstable();
+            ids
         };
-        let _ = writeln!(
-            out,
-            "component {} ({}) alive={} paused={} partitions={} consumed=[{}]",
-            self.id,
-            self.name,
-            self.is_alive(),
-            self.is_paused(),
-            self.partitions.read(),
-            offsets.join(", "),
-        );
-        // The delivery plane: consumer threads, per-adoptee retirement
-        // horizon (on the retention clock), retirements performed, and the
-        // response-batching amortization achieved so far.
-        {
-            let delay = self.config.scaled_retirement_delay();
-            let now = mono_now();
-            let horizons: Vec<String> = {
-                let adopted_at = self.adopted_at.lock();
-                let mut entries: Vec<(usize, Duration)> = adopted_at
-                    .iter()
-                    .map(|(partition, adopted)| {
-                        (
-                            *partition,
-                            delay.saturating_sub(now.saturating_sub(*adopted)),
-                        )
-                    })
-                    .collect();
-                entries.sort_unstable();
-                entries
-                    .into_iter()
-                    .map(|(partition, left)| format!("{partition}:{left:.1?}"))
-                    .collect()
-            };
-            let (enqueued, flushes) = self.response_batch_stats();
-            let _ = writeln!(
-                out,
-                "  delivery: consumers={} retire_in=[{}] retired={:?} \
-                 response_batches={flushes}/{enqueued}",
-                self.consumer_thread_count(),
-                horizons.join(", "),
-                self.retired.lock(),
-            );
+        let inflight = self
+            .inflight
+            .try_lock()
+            .map(|inflight| sorted(inflight.iter().copied().collect()));
+        let blocked_calls = self
+            .pending_calls
+            .try_lock()
+            .map(|calls| sorted(calls.keys().copied().collect()));
+        let stats = &self.stats;
+        let counter = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ComponentSnapshot {
+            id: self.id,
+            node: self.node,
+            name: self.name.clone(),
+            alive: self.is_alive(),
+            paused: self.is_paused(),
+            partitions,
+            queues,
+            lanes: self.lanes.lock().len(),
+            retire_in,
+            retired: self.retired.lock().clone(),
+            requests_appended: counter(&self.requests_appended),
+            response_batches: self.response_batch_stats(),
+            placement: self.placement_counters(),
+            parked_continuations: self.continuations.len(),
+            continuation_parks: self.continuations.parked_total(),
+            resident: self.resident_count.load(Ordering::Relaxed),
+            mailboxed: self.mailboxed.load(Ordering::Relaxed),
+            cached_states: self.state_cache.len(),
+            state_cache_evictions: self.state_cache.eviction_count(),
+            completed_ids: self.completed.lock().len(),
+            seen_responses: self.seen_responses.lock().len(),
+            delayed_retries: self.delayed.lock().ids.len(),
+            poll_faults: counter(&self.poll_faults),
+            executed: counter(&stats.executed),
+            deferred: counter(&stats.deferred),
+            cancelled: counter(&stats.cancelled),
+            tail_calls: counter(&stats.tail_calls),
+            forwarded: counter(&stats.forwarded),
+            retries_scheduled: counter(&stats.retries_scheduled),
+            dead_lettered: counter(&stats.dead_lettered),
+            passivations: counter(&stats.passivations),
+            rehydrations: counter(&stats.rehydrations),
+            admission_deferrals: counter(&stats.admission_deferrals),
+            dispatch: self.pool.snapshot(),
+            actors,
+            deferred_on_callee,
+            inflight,
+            blocked_calls,
         }
-        let _ = writeln!(
-            out,
-            "  continuations: parked={} parks_total={}",
-            self.continuations.len(),
-            self.continuations.parked_total(),
-        );
-        let (passivations, rehydrations, deferrals) = self.passivation_stats();
-        let _ = writeln!(
-            out,
-            "  memory: resident={} mailboxed={} passivations={passivations} \
-             rehydrations={rehydrations} admission_deferrals={deferrals}",
-            self.resident_actors(),
-            self.mailboxed_requests(),
-        );
-        out.push_str(&self.pool.debug_snapshot());
-        match self.actors.try_lock() {
-            Some(actors) => {
-                for (actor, slot) in actors.iter() {
-                    if !slot.busy && slot.awaiting_tail.is_none() && slot.mailbox.is_empty() {
-                        continue;
-                    }
-                    let mailbox: Vec<u64> = slot.mailbox.iter().map(|r| r.id.as_u64()).collect();
-                    let _ = writeln!(
-                        out,
-                        "  actor {}: busy={} awaiting_tail={:?} mailbox={mailbox:?}",
-                        actor.qualified_name(),
-                        slot.busy,
-                        slot.awaiting_tail.map(|id| id.as_u64()),
-                    );
-                }
-            }
-            None => {
-                let _ = writeln!(out, "  actors: <LOCK HELD>");
-            }
-        }
-        match self.deferred.try_lock() {
-            Some(deferred) => {
-                for (callee, requests) in deferred.iter() {
-                    let ids: Vec<u64> = requests.iter().map(|r| r.id.as_u64()).collect();
-                    let _ = writeln!(out, "  deferred on callee {}: {ids:?}", callee.as_u64());
-                }
-            }
-            None => {
-                let _ = writeln!(out, "  deferred: <LOCK HELD>");
-            }
-        }
-        match self.inflight.try_lock() {
-            Some(inflight) => {
-                let mut ids: Vec<u64> = inflight.iter().map(|id| id.as_u64()).collect();
-                ids.sort_unstable();
-                let _ = writeln!(out, "  inflight: {ids:?}");
-            }
-            None => {
-                let _ = writeln!(out, "  inflight: <LOCK HELD>");
-            }
-        }
-        match self.pending_calls.try_lock() {
-            Some(calls) => {
-                let mut waiting: Vec<u64> = calls.keys().map(|id| id.as_u64()).collect();
-                waiting.sort_unstable();
-                let _ = writeln!(out, "  blocked calls waiting: {waiting:?}");
-            }
-            None => {
-                let _ = writeln!(out, "  blocked calls waiting: <LOCK HELD>");
-            }
-        }
-        out
     }
 
     /// The home partition of `component` that `key` hashes to: how every
@@ -729,11 +681,6 @@ impl ComponentCore {
             Some(actor) => actor.qualified_name(),
             None => format!("req-{}", request.id.as_u64()),
         }
-    }
-
-    /// This component's current partition set (home + adopted).
-    pub(crate) fn partition_set(&self) -> PartitionSet {
-        self.partitions.read().clone()
     }
 
     /// Offset of the next record this component's consumers will read from
@@ -2118,20 +2065,6 @@ impl ComponentCore {
         self.stats.dead_lettered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of scheduled retries currently waiting out their backoff.
-    pub fn delayed_retries(&self) -> usize {
-        self.delayed.lock().ids.len()
-    }
-
-    /// `(retries scheduled, invocations dead-lettered)` by this component's
-    /// failure orchestration.
-    pub fn retry_orchestration_stats(&self) -> (u64, u64) {
-        (
-            self.stats.retries_scheduled.load(Ordering::Relaxed),
-            self.stats.dead_lettered.load(Ordering::Relaxed),
-        )
-    }
-
     // ------------------------------------------------------------------
     // Reactor surface (no threads of its own)
     // ------------------------------------------------------------------
@@ -2573,35 +2506,9 @@ impl ComponentCore {
         self.state_cache.maybe_age(now);
     }
 
-    /// Number of live steal-route overrides in the dispatch pool (aged out
-    /// once their actor has been idle for a retention window).
-    pub fn steal_route_count(&self) -> usize {
-        self.pool.route_count()
-    }
-
-    /// Sizes of the retry-bookkeeping sets: (completed ids, seen response
-    /// ids). Both are aged out alongside queue retention; tests assert they
-    /// shrink once the retention window passes.
-    pub fn retry_bookkeeping_len(&self) -> (usize, usize) {
-        (
-            self.completed.lock().len(),
-            self.seen_responses.lock().len(),
-        )
-    }
-
     // ------------------------------------------------------------------
     // Idle-actor passivation & admission watermarks
     // ------------------------------------------------------------------
-
-    /// Number of resident (activated, in-memory) actors.
-    pub fn resident_actors(&self) -> usize {
-        self.resident_count.load(Ordering::Relaxed)
-    }
-
-    /// Transient consumer-poll failures this component has survived.
-    pub(crate) fn poll_fault_count(&self) -> u64 {
-        self.poll_faults.load(Ordering::Relaxed)
-    }
 
     /// The retry scheduler's view of the epoch clock: `epoch_ms` plus any
     /// injected clock skew (the `retry_clock` fault site). Skew simulates a
@@ -2622,54 +2529,26 @@ impl ComponentCore {
         }
     }
 
-    /// `(passivations, rehydrations, admission deferrals)` performed by
-    /// this component so far.
-    pub fn passivation_stats(&self) -> (u64, u64, u64) {
-        (
-            self.stats.passivations.load(Ordering::Relaxed),
-            self.stats.rehydrations.load(Ordering::Relaxed),
-            self.stats.admission_deferrals.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Total requests currently mailboxed behind busy resident actors.
-    pub fn mailboxed_requests(&self) -> usize {
-        self.mailboxed.load(Ordering::Relaxed)
-    }
-
     /// True while admission must defer new-actor activations: the resident
-    /// set is at the hard watermark, or the residents' combined mailbox
-    /// backlog is at the mailbox watermark.
+    /// set is at the hard watermark.
     fn admission_overloaded(&self) -> bool {
-        if let Some(hard) = self.config.resident_hard_limit() {
-            if self.resident_count.load(Ordering::Relaxed) >= hard {
-                return true;
-            }
-        }
-        if let Some(limit) = self.config.mailbox_limit() {
-            if self.mailboxed.load(Ordering::Relaxed) >= limit {
-                return true;
-            }
-        }
-        false
+        self.config
+            .resident_hard_limit()
+            .is_some_and(|hard| self.resident_count.load(Ordering::Relaxed) >= hard)
     }
 
     /// The shaped-backoff deadline (epoch ms) of a deferred new-actor
     /// activation: the same backoff shape as the retry orchestration —
     /// exponential growth with deterministic jitter derived from the
-    /// request id — on the `passivation_backoff` base, capped at 16× the
+    /// request id — on the [`ACTIVATION_BACKOFF`] base, capped at 16× the
     /// base. `deferrals` counts prior deferrals of the same activation, so
     /// a head that keeps finding the watermark crossed backs off further
     /// each time.
     fn shape_activation_deferral(&self, id: RequestId, deferrals: u32) -> u64 {
-        let base = self
-            .config
-            .passivation_backoff
-            .max(Duration::from_millis(1));
         let backoff = Backoff::Exponential {
-            base,
+            base: ACTIVATION_BACKOFF,
             multiplier: 2.0,
-            max: base * 16,
+            max: ACTIVATION_BACKOFF * 16,
             jitter: 0.2,
         };
         let delay = backoff
@@ -2812,31 +2691,6 @@ impl ComponentCore {
     // Actor-state persistence (the `ctx.state()` backend)
     // ------------------------------------------------------------------
 
-    /// Number of actor states currently cached.
-    pub fn cached_state_count(&self) -> usize {
-        self.state_cache.len()
-    }
-
-    /// Number of clean actor-state cache entries evicted after idling for a
-    /// retention window.
-    pub fn state_cache_evictions(&self) -> u64 {
-        self.state_cache.eviction_count()
-    }
-
-    /// Number of live consumer lanes (units of consumer concurrency; no
-    /// thread is dedicated to a lane — the fixed reactor pool sweeps them).
-    /// Grows when recovery re-homes a partition range onto this component,
-    /// and returns to the pre-failure steady state once the adopted range is
-    /// retired.
-    pub fn consumer_thread_count(&self) -> usize {
-        self.lanes.lock().len()
-    }
-
-    /// Number of continuations currently parked on nested calls.
-    pub fn parked_continuations(&self) -> usize {
-        self.continuations.len()
-    }
-
     /// Total number of continuation parks since the component started: each
     /// one is a nested call that did *not* block a thread.
     pub fn continuation_parks(&self) -> u64 {
@@ -2849,12 +2703,6 @@ impl ComponentCore {
     pub fn request_batch_stats(&self) -> (u64, u64) {
         let appended = self.requests_appended.load(Ordering::Relaxed);
         (appended, appended)
-    }
-
-    /// The adopted partitions this component has retired so far, in
-    /// retirement order.
-    pub fn retired_partitions(&self) -> Vec<usize> {
-        self.retired.lock().clone()
     }
 
     /// `(completions enqueued, batch appends performed)` by the response
@@ -2905,20 +2753,5 @@ impl ComponentCore {
     /// sent, so acknowledged state is always durable (flush-then-respond).
     fn flush_actor_state(&self, actor: &ActorRef) -> KarResult<()> {
         self.state_cache.flush(&self.conn, &state_key(actor))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn component_stats_default_to_zero() {
-        let stats = ComponentStats::default();
-        assert_eq!(stats.executed.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.deferred.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.cancelled.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.tail_calls.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.forwarded.load(Ordering::Relaxed), 0);
     }
 }

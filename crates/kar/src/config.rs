@@ -142,22 +142,12 @@ pub struct MeshConfig {
     /// Requests for already-resident actors are never deferred. Clamped up
     /// to at least the soft watermark.
     pub resident_hard_watermark: usize,
-    /// Mailbox-depth watermark (`0` = unbounded): when the total number of
-    /// mailboxed (admitted but waiting) requests across a component's
-    /// resident actors reaches it, new-actor activations are deferred
-    /// exactly as at the hard resident watermark — the backlog of the
-    /// residents drains before new working set is admitted.
-    pub mailbox_watermark: usize,
-    /// Base delay of the shaped backoff applied to deferred new-actor
-    /// activations (wall-clock, like retry policies — **not** compressed by
-    /// [`MeshConfig::time_scale`]). Grows exponentially with deterministic
-    /// jitter on repeated deferral, capped at 16× the base.
-    pub passivation_backoff: Duration,
     /// Optional gray-failure plan (`None` = no injection, zero hot-path
     /// cost). The mesh builds one [`kar_types::FaultInjector`] from the plan
     /// and threads it through both the store and the broker, so one seed
-    /// drives the whole schedule and [`Mesh::fault_stats`](crate::Mesh)
-    /// reads one set of counters.
+    /// drives the whole schedule and
+    /// [`MeshSnapshot::faults`](crate::MeshSnapshot::faults) reads one set of
+    /// counters.
     pub fault_plan: Option<FaultPlan>,
     /// Deterministic-simulation seed. `Some(seed)` puts the mesh in
     /// simulation mode: no runtime threads are spawned, a
@@ -229,8 +219,6 @@ impl Default for MeshConfig {
             // needed it. Passivation alone already bounds the *idle* set.
             resident_soft_watermark: 0,
             resident_hard_watermark: 0,
-            mailbox_watermark: 0,
-            passivation_backoff: Duration::from_millis(25),
             fault_plan: None,
             sim_seed: None,
             dlq_claim_lease: Duration::from_secs(30),
@@ -480,22 +468,6 @@ impl MeshConfig {
         self
     }
 
-    /// Sets the component-wide mailboxed-request watermark (`0` =
-    /// unbounded) past which new-actor activations are deferred.
-    #[must_use]
-    pub fn with_mailbox_watermark(mut self, watermark: usize) -> Self {
-        self.mailbox_watermark = watermark;
-        self
-    }
-
-    /// Sets the base delay of the deferred-activation backoff (clamped to
-    /// at least 1 ms).
-    #[must_use]
-    pub fn with_passivation_backoff(mut self, base: Duration) -> Self {
-        self.passivation_backoff = base.max(Duration::from_millis(1));
-        self
-    }
-
     /// The soft resident-set watermark as a limit (`None` = unbounded).
     pub fn resident_soft_limit(&self) -> Option<usize> {
         (self.resident_soft_watermark > 0).then_some(self.resident_soft_watermark)
@@ -508,11 +480,6 @@ impl MeshConfig {
             self.resident_hard_watermark
                 .max(self.resident_soft_watermark),
         )
-    }
-
-    /// The mailboxed-request watermark as a limit (`None` = unbounded).
-    pub fn mailbox_limit(&self) -> Option<usize> {
-        (self.mailbox_watermark > 0).then_some(self.mailbox_watermark)
     }
 
     /// The wall-clock passivation clock: one (time-compressed) retention
@@ -741,8 +708,6 @@ mod tests {
         assert!(c.actor_passivation);
         assert_eq!(c.resident_soft_limit(), None);
         assert_eq!(c.resident_hard_limit(), None);
-        assert_eq!(c.mailbox_limit(), None);
-        assert_eq!(c.passivation_backoff, Duration::from_millis(25));
         // The passivation clock is the single retention window — strictly
         // inside the doubled bookkeeping window, so the dedup sets always
         // outlive the actors they guard (a rehydrated actor cannot
@@ -758,14 +723,10 @@ mod tests {
     fn passivation_knobs_set_and_clamp() {
         let c = MeshConfig::for_tests()
             .with_actor_passivation(false)
-            .with_resident_watermarks(100, 40)
-            .with_mailbox_watermark(500)
-            .with_passivation_backoff(Duration::ZERO);
+            .with_resident_watermarks(100, 40);
         assert!(!c.actor_passivation);
         assert_eq!(c.resident_soft_limit(), Some(100));
         assert_eq!(c.resident_hard_limit(), Some(100), "hard clamps up to soft");
-        assert_eq!(c.mailbox_limit(), Some(500));
-        assert_eq!(c.passivation_backoff, Duration::from_millis(1), "clamped");
 
         let soft_only = MeshConfig::for_tests().with_resident_watermarks(64, 0);
         assert_eq!(soft_only.resident_soft_limit(), Some(64));

@@ -1,10 +1,10 @@
 //! Continuation parking: the event-driven replacement for blocking a
 //! dispatch thread on a nested call.
 //!
-//! When a handler returns [`Outcome::CallThen`](crate::Outcome::CallThen),
+//! When a handler returns [`Outcome::CallThen`],
 //! the runtime sends the nested request, captures the rest of the handler as
 //! a [`Continuation`] keyed by the nested request id in the component's
-//! [`ContinuationTable`], and returns the worker to the reactor pool. The
+//! continuation table, and returns the worker to the reactor pool. The
 //! actor stays locked (per-actor FIFO is untouched: its mailbox keeps
 //! queueing behind the parked invocation) and the *original* request stays
 //! in the in-flight set, so recovery treats a parked invocation exactly like

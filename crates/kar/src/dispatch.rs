@@ -63,6 +63,7 @@ use parking_lot::Mutex;
 use kar_types::{ActorRef, RequestId, RequestMessage, WaitSignalGroup};
 
 use crate::aging::AgingMap;
+use crate::snapshot::{DispatchSnapshot, ShardSnapshot};
 
 /// A shard queue must be at least this deep before an idle reactor will
 /// steal from it: moving an actor for a single queued request would churn
@@ -186,11 +187,6 @@ impl DispatchPool {
         self.home_shard(actor)
     }
 
-    /// Number of live steal-route overrides.
-    pub(crate) fn route_count(&self) -> usize {
-        self.routes.lock().len()
-    }
-
     /// Ages out steal-route overrides whose actor has been idle for one to
     /// two retention windows. Every candidate is re-checked under its shard's
     /// state lock — an override is dropped only while the actor has nothing
@@ -249,82 +245,44 @@ impl DispatchPool {
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    /// Requests each shard has admitted so far (the per-shard load the
-    /// benchmarks report as max/mean imbalance).
-    pub(crate) fn shard_loads(&self) -> Vec<u64> {
-        self.shards
+    /// The pool's shard rows, steal counters, steal routes and pending set.
+    /// Shard state, routes and the pending set are read under `try_lock`, so
+    /// a held (possibly wedged) lock reads as `None` instead of blocking.
+    pub(crate) fn snapshot(&self) -> DispatchSnapshot {
+        let shards = self
+            .shards
             .iter()
-            .map(|shard| shard.processed.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Number of successful actor steals so far.
-    pub(crate) fn steal_count(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Human-readable snapshot of the shard queues, admission guards, steal
-    /// routes and pending set — for debugging stuck requests. Uses
-    /// `try_lock` throughout so a held (possibly wedged) lock is reported
-    /// instead of deadlocking the reporter.
-    pub(crate) fn debug_snapshot(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (index, shard) in self.shards.iter().enumerate() {
-            let claimed = shard.claimed.load(Ordering::Relaxed);
-            match shard.state.try_lock() {
-                Some(state) => {
-                    let ids: Vec<String> = state
-                        .queue
-                        .iter()
-                        .map(|r| format!("{}→{}", r.id.as_u64(), r.target.qualified_name()))
-                        .collect();
-                    let busy: Vec<String> = state
-                        .busy_actors
-                        .iter()
-                        .map(ActorRef::qualified_name)
-                        .collect();
-                    let _ = writeln!(
-                        out,
-                        "  shard {index}: claimed={claimed} busy_actors={busy:?} depth={} queue=[{}]",
-                        shard.depth.load(Ordering::Relaxed),
-                        ids.join(", "),
-                    );
+            .map(|shard| {
+                let state = shard.state.try_lock();
+                ShardSnapshot {
+                    load: shard.processed.load(Ordering::Relaxed),
+                    depth: shard.depth.load(Ordering::Relaxed),
+                    claimed: shard.claimed.load(Ordering::Relaxed),
+                    queue: state.as_ref().map(|state| {
+                        let queue = state.queue.iter();
+                        queue.map(|r| (r.id, r.target.clone())).collect()
+                    }),
+                    busy_actors: state.as_ref().map(|state| state.busy_actors.clone()),
                 }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "  shard {index}: claimed={claimed} state=<LOCK HELD> depth={}",
-                        shard.depth.load(Ordering::Relaxed),
-                    );
-                }
-            }
+            })
+            .collect();
+        let routes = self.routes.try_lock().map(|routes| {
+            let mut entries = routes.entries();
+            entries.sort();
+            entries
+        });
+        let pending_admission = self.pending.try_lock().map(|pending| {
+            let mut ids: Vec<RequestId> = pending.iter().copied().collect();
+            ids.sort_unstable();
+            ids
+        });
+        DispatchSnapshot {
+            shards,
+            steals: self.steals.load(Ordering::Relaxed),
+            steal_wakeups: self.steal_wakeups.load(Ordering::Relaxed),
+            routes,
+            pending_admission,
         }
-        match self.routes.try_lock() {
-            Some(routes) => {
-                let mut route_strs: Vec<String> = routes
-                    .entries()
-                    .into_iter()
-                    .map(|(actor, shard)| format!("{}→{shard}", actor.qualified_name()))
-                    .collect();
-                route_strs.sort();
-                let _ = writeln!(out, "  routes: [{}]", route_strs.join(", "));
-            }
-            None => {
-                let _ = writeln!(out, "  routes: <LOCK HELD>");
-            }
-        }
-        match self.pending.try_lock() {
-            Some(pending) => {
-                let mut ids: Vec<u64> = pending.iter().map(|id| id.as_u64()).collect();
-                ids.sort_unstable();
-                let _ = writeln!(out, "  pending admission: {ids:?}");
-            }
-            None => {
-                let _ = writeln!(out, "  pending admission: <LOCK HELD>");
-            }
-        }
-        out
     }
 
     /// Notifies the attached wait group (a push made work available).
@@ -448,11 +406,6 @@ impl DispatchPool {
                 return;
             }
         }
-    }
-
-    /// Number of proactive steal wakeups issued so far.
-    pub(crate) fn steal_wakeup_count(&self) -> u64 {
-        self.steal_wakeups.load(Ordering::Relaxed)
     }
 
     /// Queue depth of `shard` (lock-free; the reactor sweep's cheap gate).
@@ -688,7 +641,7 @@ mod tests {
         pool.mark_admitted(shard);
         pool.release_busy_actor(shard, &received.target);
         assert!(!pool.is_pending(id));
-        assert_eq!(pool.shard_loads()[shard], 1);
+        assert_eq!(pool.snapshot().shards[shard].load, 1);
     }
 
     #[test]
@@ -764,7 +717,7 @@ mod tests {
         // that actor; "warm" stays home.
         let stolen = pool.next_request(thief, Duration::from_millis(5)).unwrap();
         assert_eq!(stolen.target, hot);
-        assert_eq!(pool.steal_count(), 1);
+        assert_eq!(pool.snapshot().steals, 1);
         assert_eq!(
             pool.shard_of(&hot),
             thief,
@@ -821,7 +774,7 @@ mod tests {
             !pool.try_steal(thief),
             "one queued request is below the steal threshold"
         );
-        assert_eq!(pool.steal_count(), 0);
+        assert_eq!(pool.snapshot().steals, 0);
         let _ = victim;
     }
 
@@ -897,7 +850,7 @@ mod tests {
         let busy = ActorRef::new("T", "busy");
         pool.routes.lock().insert(idle.clone(), 0);
         pool.routes.lock().insert(busy.clone(), 0);
-        assert_eq!(pool.route_count(), 2);
+        assert_eq!(pool.snapshot().routes.unwrap().len(), 2);
         // "busy" keeps queued requests in its routed shard; "idle" has none.
         let mut r = request(1, "busy");
         r.target = busy.clone();
@@ -912,7 +865,7 @@ mod tests {
         // the busy actor's queued request vetoes its removal.
         let dropped = pool.age_routes(t + Duration::from_millis(8));
         assert_eq!(dropped, 1, "exactly the idle route should age out");
-        assert_eq!(pool.route_count(), 1);
+        assert_eq!(pool.snapshot().routes.unwrap().len(), 1);
         assert_eq!(pool.shard_of(&busy), 0, "active override must survive");
         // Rotation is interval-gated: an immediate re-run is a no-op.
         assert_eq!(pool.age_routes(t + Duration::from_millis(8)), 0);
@@ -924,7 +877,7 @@ mod tests {
         pool.release_busy_actor(0, &got.target);
         assert_eq!(pool.age_routes(t + Duration::from_millis(12)), 0);
         assert_eq!(pool.age_routes(t + Duration::from_millis(16)), 1);
-        assert_eq!(pool.route_count(), 0);
+        assert_eq!(pool.snapshot().routes.unwrap().len(), 0);
     }
 
     #[test]
@@ -979,8 +932,8 @@ mod tests {
         }
         let (stolen, elapsed) = parked.join().unwrap();
         assert_eq!(stolen.target, hot);
-        assert!(pool.steal_wakeup_count() >= 1, "no wakeup was counted");
-        assert_eq!(pool.steal_count(), 1);
+        assert!(pool.snapshot().steal_wakeups >= 1, "no wakeup was counted");
+        assert_eq!(pool.snapshot().steals, 1);
         // Without the notify the thief sleeps out its 900 ms park (plus the
         // 100 ms head start); with it, the steal lands well inside that.
         assert!(
@@ -995,16 +948,16 @@ mod tests {
         for id in 1..STEAL_WAKEUP_DEPTH as u64 {
             pool.submit(request(id, "hot"));
         }
-        assert_eq!(pool.steal_wakeup_count(), 0);
+        assert_eq!(pool.snapshot().steal_wakeups, 0);
         // Crossing the watermark issues one (counted even with no parked
         // waiter — the signal is best-effort).
         pool.submit(request(99, "hot"));
-        assert!(pool.steal_wakeup_count() >= 1);
+        assert!(pool.snapshot().steal_wakeups >= 1);
         // A single shard has no thief to wake.
         let no_steal = DispatchPool::new(1, RETENTION, None);
         for id in 1..=(STEAL_WAKEUP_DEPTH as u64 * 2) {
             no_steal.submit(request(id, "hot"));
         }
-        assert_eq!(no_steal.steal_wakeup_count(), 0);
+        assert_eq!(no_steal.snapshot().steal_wakeups, 0);
     }
 }

@@ -4,7 +4,8 @@
 //! the broker — which cannot depend on this crate — can consult it directly.
 //! This module re-exports the plan/spec vocabulary under `kar::faults`,
 //! provides the bounded transient-retry helper the hardened runtime paths
-//! share, and renders fault counters for [`Mesh::debug_report`](crate::Mesh).
+//! share. The counters surface as
+//! [`MeshSnapshot::faults`](crate::MeshSnapshot::faults).
 //!
 //! The hardening contract the injector forces (and the chaos tests check):
 //! an injected failure whose [`KarError::is_transient`] holds may be replayed
@@ -136,37 +137,6 @@ pub(crate) fn claim_marker_leased(
     claim_marker(store, key, token)
 }
 
-/// Renders a counter snapshot as the `fault plane:` section of
-/// [`Mesh::debug_report`](crate::Mesh).
-pub(crate) fn format_fault_stats(counters: &FaultCounters) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "fault plane: total_faults={} store_brownout_ops={} broker_brownout_ops={}",
-        counters.total_faults(),
-        counters.store_brownout_ops,
-        counters.broker_brownout_ops,
-    );
-    for site in FaultSite::ALL {
-        let s = counters.site(site);
-        if s.draws == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "  {}: draws={} transient={} ack_lost={} spikes={} skews={}",
-            site.name(),
-            s.draws,
-            s.transient,
-            s.ack_lost,
-            s.spikes,
-            s.skews,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,7 +180,11 @@ mod tests {
             FaultPlan::new(3).with_site(FaultSite::StoreCommand, FaultSpec::transient(1.0)),
         );
         injector.decide(FaultSite::StoreCommand, FaultPlane::Store, 0);
-        let rendered = format_fault_stats(&injector.counters());
+        let snapshot = crate::MeshSnapshot {
+            faults: Some(injector.counters()),
+            ..Default::default()
+        };
+        let rendered = snapshot.to_string();
         assert!(rendered.contains("total_faults=1"));
         assert!(rendered.contains("store_command: draws=1 transient=1"));
         assert!(!rendered.contains("broker_append:"));

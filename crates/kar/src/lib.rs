@@ -30,6 +30,9 @@
 //! re-homing of pending requests with happen-before annotations, and optional
 //! cancellation of orphaned callees.
 //!
+//! [`Mesh::snapshot`] returns the runtime's state as one plain-data
+//! [`MeshSnapshot`]: where every request sits and what every counter reads.
+//!
 //! # Example
 //!
 //! ```
@@ -80,6 +83,7 @@ pub mod mesh;
 pub mod placement;
 pub mod recovery;
 pub mod retry;
+pub mod snapshot;
 mod state_cache;
 
 pub use actor::{Actor, ActorFactory, Outcome};
@@ -92,6 +96,9 @@ pub use mesh::{ComponentBuilder, Mesh};
 pub use placement::PlacementCounters;
 pub use recovery::{OutageRecord, RecoveryLog};
 pub use retry::{BreakerPosition, DlqEntry, DlqStats, RetryMetrics};
+pub use snapshot::{
+    ActorSnapshot, ComponentSnapshot, DispatchSnapshot, MeshSnapshot, PartitionQueue, ShardSnapshot,
+};
 
 pub use kar_types::{ActorRef, KarError, KarResult, Value};
 pub use kar_types::{Backoff, RetryOn, RetryPolicy};

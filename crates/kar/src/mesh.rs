@@ -21,12 +21,11 @@ use crate::actor::{Actor, ActorFactory};
 use crate::client::Client;
 use crate::component::{ComponentCore, DLQ_TOPIC};
 use crate::config::MeshConfig;
-use crate::faults::{format_fault_stats, retry_transient, TRANSIENT_ATTEMPTS};
+use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::placement::host_key;
 use crate::recovery::{run_recovery_manager, OutageRecord, RecoveryContext, RecoveryLog};
-use crate::retry::{
-    BreakerPosition, BreakerRegistry, DlqEntry, DlqStats, RetryBudget, RetryMetrics,
-};
+use crate::retry::{BreakerRegistry, DlqEntry, DlqStats, RetryBudget, RetryMetrics};
+use crate::snapshot::{ComponentSnapshot, MeshSnapshot};
 
 const TOPIC: &str = "kar";
 const GROUP: &str = "kar";
@@ -272,7 +271,7 @@ impl Mesh {
             ))
         });
         // One injector serves both substrates: store shards and broker
-        // partitions draw from the same seeded schedule, and `fault_stats`
+        // partitions draw from the same seeded schedule, and the snapshot
         // reads one counter set.
         let faults = config
             .fault_plan
@@ -708,87 +707,41 @@ impl Mesh {
         nodes
     }
 
-    /// Per-shard admitted-request counts of one component's dispatch pool
-    /// (`None` for unknown components). The max/mean spread of this vector
-    /// is the shard imbalance that work stealing closes.
-    pub fn shard_loads(&self, component: ComponentId) -> Option<Vec<u64>> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.shard_loads())
+    /// A typed snapshot of the whole mesh: every component's delivery,
+    /// dispatch, invocation, retry and memory state, plus the store, retry
+    /// and fault planes. Its `Display` is the human-readable report for
+    /// debugging stuck requests. Reads only counters, in-memory tables and
+    /// partition lengths and offsets: no store or broker I/O.
+    pub fn snapshot(&self) -> MeshSnapshot {
+        let cores: Vec<Arc<ComponentCore>> =
+            self.inner.components.read().values().cloned().collect();
+        let mut components: Vec<ComponentSnapshot> =
+            cores.iter().map(|core| core.snapshot()).collect();
+        components.sort_by_key(|c| c.id);
+        let (admitted, shed) = self.inner.budget.stats();
+        let (breaker_fast_fails, breaker_opened) = self.inner.breakers.stats();
+        let retry = RetryMetrics {
+            scheduled: components.iter().map(|c| c.retries_scheduled).sum(),
+            admitted,
+            shed,
+            breaker_fast_fails,
+            breaker_opened,
+            dead_lettered: components.iter().map(|c| c.dead_lettered).sum(),
+        };
+        MeshSnapshot {
+            reactor_threads: self.inner.config.effective_reactor_threads(),
+            components,
+            store: self.inner.store.stats(),
+            store_contention: self.inner.store.shard_contention(),
+            retry,
+            breakers: self.inner.breakers.snapshot(),
+            faults: self.inner.faults.as_ref().map(|f| f.counters()),
+        }
     }
 
-    /// Number of whole-actor steals one component's idle dispatch workers
-    /// have performed.
-    pub fn steal_count(&self, component: ComponentId) -> Option<u64> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.steal_count())
-    }
-
-    /// Number of proactive steal wakeups one component's dispatch pool has
-    /// issued (idle workers poked by a deep push instead of waiting out
-    /// their idle tick).
-    pub fn steal_wakeups(&self, component: ComponentId) -> Option<u64> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.steal_wakeup_count())
-    }
-
-    /// Number of actor states one component currently caches in memory.
-    pub fn cached_state_count(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.cached_state_count())
-    }
-
-    /// The partition set one component currently consumes: its stable home
-    /// range plus any partition ranges adopted from failed components
-    /// (`None` for unknown components).
-    pub fn partition_set(&self, component: ComponentId) -> Option<PartitionSet> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.partition_set())
-    }
-
-    /// Number of live consumer *lanes* of one component: its home-partition
-    /// lanes, plus one per adopted range until retirement drops it. Lanes
-    /// are pump targets of the shared reactor pool, not threads — the name
-    /// `consumer_threads` is kept for continuity with the pre-reactor
-    /// introspection surface.
-    pub fn consumer_threads(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.consumer_thread_count())
-    }
-
-    /// Size of the fixed reactor pool driving every component (the timer
-    /// thread is not counted). Constant for the life of the mesh, whatever
-    /// the topology grows to.
-    pub fn reactor_thread_count(&self) -> usize {
-        self.inner.config.effective_reactor_threads()
-    }
-
-    /// Number of continuations one component currently holds parked for
-    /// nested responses.
-    pub fn parked_continuations(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.parked_continuations())
-    }
+    // The four per-component counters below duplicate `snapshot` fields on
+    // purpose: the repository benchmark reads them around every measured
+    // window, so they stay single atomic loads instead of a full snapshot.
 
     /// Total number of continuation parks one component has performed.
     pub fn continuation_parks(&self, component: ComponentId) -> Option<u64> {
@@ -809,18 +762,6 @@ impl Mesh {
             .map(|core| core.request_batch_stats())
     }
 
-    /// The adopted partitions one component has retired (fenced, dropped
-    /// from their consumer's wait group, removed from its partition set).
-    /// Answered for dead components too: chaos tests reconstruct where a
-    /// re-homed partition ended up even when its adopter later died.
-    pub fn retired_partitions(&self, component: ComponentId) -> Option<Vec<usize>> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.retired_partitions())
-    }
-
     /// `(completions enqueued, batch appends performed)` by one component's
     /// response batcher (`(0, 0)` with `response_batching` off).
     pub fn response_batch_stats(&self, component: ComponentId) -> Option<(u64, u64)> {
@@ -829,26 +770,6 @@ impl Mesh {
             .read()
             .get(&component)
             .map(|core| core.response_batch_stats())
-    }
-
-    /// Number of idle clean actor-state cache entries one component has
-    /// evicted on the retention clock.
-    pub fn state_cache_evictions(&self, component: ComponentId) -> Option<u64> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.state_cache_evictions())
-    }
-
-    /// Number of live steal-route overrides in one component's dispatch
-    /// pool (aged out once their actor idles for a retention window).
-    pub fn steal_route_count(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.steal_route_count())
     }
 
     /// Placement-cache hit/miss/invalidation counters of one component.
@@ -863,87 +784,9 @@ impl Mesh {
             .map(|core| core.placement_counters())
     }
 
-    /// Sizes of one component's aged retry-bookkeeping sets (completed ids,
-    /// seen response ids).
-    pub fn retry_bookkeeping_len(&self, component: ComponentId) -> Option<(usize, usize)> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.retry_bookkeeping_len())
-    }
-
-    /// Number of resident (activated, in-memory) actors on one component.
-    pub fn resident_actors(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.resident_actors())
-    }
-
-    /// One component's `(passivations, rehydrations, admission deferrals)`
-    /// counters.
-    pub fn passivation_stats(&self, component: ComponentId) -> Option<(u64, u64, u64)> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.passivation_stats())
-    }
-
-    /// Requests currently mailboxed behind busy actors on one component.
-    pub fn mailboxed_requests(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.mailboxed_requests())
-    }
-
     // ------------------------------------------------------------------
     // Retry orchestration
     // ------------------------------------------------------------------
-
-    /// Mesh-wide retry-orchestration counters: retries scheduled and
-    /// invocations dead-lettered (summed over every component), the retry
-    /// budget's admitted/shed counts, and the circuit breakers' fast-fail
-    /// and open-transition counts.
-    pub fn retry_metrics(&self) -> RetryMetrics {
-        let (mut scheduled, mut dead_lettered) = (0, 0);
-        for core in self.inner.components.read().values() {
-            let (s, d) = core.retry_orchestration_stats();
-            scheduled += s;
-            dead_lettered += d;
-        }
-        let (admitted, shed) = self.inner.budget.stats();
-        let (breaker_fast_fails, breaker_opened) = self.inner.breakers.stats();
-        RetryMetrics {
-            scheduled,
-            admitted,
-            shed,
-            breaker_fast_fails,
-            breaker_opened,
-            dead_lettered,
-        }
-    }
-
-    /// The current position of `actor_type`'s circuit breaker (trivially
-    /// [`BreakerPosition::Closed`] when breakers are disabled or the type
-    /// has no recorded outcomes yet).
-    pub fn breaker_position(&self, actor_type: &str) -> BreakerPosition {
-        self.inner.breakers.position(actor_type)
-    }
-
-    /// Number of scheduled retries one component currently holds parked on
-    /// their backoff deadlines (`None` for unknown components).
-    pub fn delayed_retries(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.delayed_retries())
-    }
 
     /// Every dead-lettered invocation, decoded from the durable DLQ store
     /// index (which, unlike the provenance topic, outlives queue retention),
@@ -1066,112 +909,6 @@ impl Mesh {
                 Err(error)
             }
         }
-    }
-
-    /// Human-readable snapshot of every component's dispatch/actor state
-    /// plus the queue backlog, for debugging stuck requests.
-    pub fn debug_report(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "reactor pool: threads={} registered_components={}",
-            self.reactor_thread_count(),
-            self.inner.reactors.registry.read().len(),
-        );
-        let components = self.inner.components.read().clone();
-        let mut ids: Vec<ComponentId> = components.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            let core = &components[&id];
-            out.push_str(&core.debug_snapshot());
-            let _ = writeln!(
-                out,
-                "  cached actor states: {} (evicted: {})",
-                core.cached_state_count(),
-                core.state_cache_evictions()
-            );
-            let (retries_scheduled, dead_lettered) = core.retry_orchestration_stats();
-            let _ = writeln!(
-                out,
-                "  retry orchestration: scheduled={retries_scheduled} \
-                 dead_lettered={dead_lettered} delayed={}",
-                core.delayed_retries(),
-            );
-            let _ = writeln!(out, "  poll faults survived: {}", core.poll_fault_count());
-            if let Some(set) = self.inner.topology.read().get(&id) {
-                for partition in set.all() {
-                    let _ = writeln!(
-                        out,
-                        "  queue partition {partition}: len={} end_offset={}",
-                        self.inner.broker.partition_len(TOPIC, partition),
-                        self.inner.broker.end_offset(TOPIC, partition),
-                    );
-                }
-            }
-        }
-        // The state plane: per-shard contention plus pipeline batch shape.
-        let stats = self.inner.store.stats();
-        let contention: Vec<String> = self
-            .inner
-            .store
-            .shard_contention()
-            .into_iter()
-            .map(|c| c.to_string())
-            .collect();
-        let _ = writeln!(
-            out,
-            "store: reads={} writes={} cas={} round_trips={} pipeline_flushes={} \
-             mean_pipeline_batch={:.1} shards={} contention=[{}]",
-            stats.reads,
-            stats.writes,
-            stats.cas,
-            stats.round_trips,
-            stats.pipeline_flushes,
-            stats.mean_pipeline_batch(),
-            self.inner.store.shard_count(),
-            contention.join(", "),
-        );
-        // The retry plane: budget pressure, breaker positions, DLQ size.
-        let metrics = self.retry_metrics();
-        let _ = writeln!(
-            out,
-            "retry orchestration: scheduled={} admitted={} shed={} \
-             breaker_fast_fails={} breaker_opened={} dead_lettered={} dlq_entries={}",
-            metrics.scheduled,
-            metrics.admitted,
-            metrics.shed,
-            metrics.breaker_fast_fails,
-            metrics.breaker_opened,
-            metrics.dead_lettered,
-            self.dlq_stats().total(),
-        );
-        for (actor_type, position) in self.inner.breakers.snapshot() {
-            let _ = writeln!(out, "  breaker {actor_type}: {}", position.as_str());
-        }
-        // The fault plane (only when armed): what the injector actually did.
-        if let Some(counters) = self.fault_stats() {
-            out.push_str(&format_fault_stats(&counters));
-        }
-        out
-    }
-
-    /// Snapshot of the gray-failure injection counters: per-site draws and
-    /// injected faults plus brownout surcharges. `None` unless the mesh was
-    /// built with [`MeshConfig::with_fault_plan`].
-    pub fn fault_stats(&self) -> Option<crate::faults::FaultCounters> {
-        self.inner.faults.as_ref().map(|f| f.counters())
-    }
-
-    /// Transient consumer-poll failures a component has survived without
-    /// dropping its subscriptions (injected `consumer_poll` faults or real
-    /// broker brownouts). `None` for unknown components.
-    pub fn poll_faults(&self, component: ComponentId) -> Option<u64> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.poll_fault_count())
     }
 
     /// The log of completed recoveries.
@@ -1390,6 +1127,33 @@ mod tests {
             client.call(&acc, "incr", vec![]).unwrap();
         }
         assert_eq!(client.call(&acc, "get", vec![]).unwrap(), Value::Int(5));
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn snapshot_exposes_invocation_and_delivery_counters() {
+        let (mesh, client) = accumulator_mesh();
+        let acc = ActorRef::new("Accumulator", "a");
+        client.call(&acc, "get", vec![]).unwrap();
+        // incr tail-calls set.
+        client.call(&acc, "incr", vec![]).unwrap();
+        let snapshot = mesh.snapshot();
+        let server = snapshot
+            .components
+            .iter()
+            .find(|c| c.name.starts_with("server"))
+            .expect("the server is in the snapshot");
+        let caller = snapshot
+            .component(client.component_id())
+            .expect("the client is in the snapshot");
+        assert!(server.executed >= 1, "{snapshot}");
+        assert!(server.tail_calls >= 1, "{snapshot}");
+        assert!(caller.requests_appended >= 1, "{snapshot}");
+        assert!(server.response_batches.0 >= 1, "{snapshot}");
+        let report = snapshot.to_string();
+        for component in &snapshot.components {
+            assert!(report.contains(&component.name), "{report}");
+        }
         mesh.shutdown();
     }
 
@@ -1646,7 +1410,7 @@ mod tests {
                 .with_reactor_threads(8),
         );
         assert_eq!(mesh.dispatch_workers(), 8);
-        assert_eq!(mesh.reactor_thread_count(), 8);
+        assert_eq!(mesh.snapshot().reactor_threads, 8);
         let node = mesh.add_node();
         mesh.add_component(node, "server", |c| c.host("Sleeper", || Box::new(Sleeper)));
         let client = mesh.client();

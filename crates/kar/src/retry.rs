@@ -6,13 +6,13 @@
 //! inside request records; this module holds the two mesh-level safety
 //! valves that sit between a scheduled retry and its execution:
 //!
-//! * [`RetryBudget`] — a RetryGuard-style token bucket shared by every
+//! * `RetryBudget` — a RetryGuard-style token bucket shared by every
 //!   component of a mesh. Each orchestrated retry spends one token when its
 //!   backoff deadline fires; when the bucket is empty the retry is *shed* —
 //!   re-queued on its own backoff delay, never dropped — so a partial
 //!   failure produces a bounded, deterministic retry load on the broker
 //!   instead of a melt.
-//! * [`BreakerRegistry`] — per-actor-type circuit breakers (closed → open
+//! * `BreakerRegistry` — per-actor-type circuit breakers (closed → open
 //!   on failure-rate threshold → half-open probe). While a type's breaker
 //!   is open, the dispatch layer fails invocations of the type fast with
 //!   [`KarError::CircuitOpen`] instead of executing them; after the
@@ -113,7 +113,7 @@ pub enum BreakerPosition {
 }
 
 impl BreakerPosition {
-    /// Lower-case display form used by `debug_report`.
+    /// Lower-case display form used by the [`MeshSnapshot`](crate::MeshSnapshot) report.
     pub fn as_str(self) -> &'static str {
         match self {
             BreakerPosition::Closed => "closed",
@@ -262,6 +262,7 @@ impl BreakerRegistry {
 
     /// The position of `actor_type`'s breaker (trivially closed when it has
     /// no recorded outcomes, or when breakers are disabled).
+    #[cfg(test)]
     pub(crate) fn position(&self, actor_type: &str) -> BreakerPosition {
         self.breakers
             .lock()
@@ -278,7 +279,7 @@ impl BreakerRegistry {
         )
     }
 
-    /// Per-type positions for `debug_report`, sorted by type name.
+    /// Per-type positions, sorted by type name.
     pub(crate) fn snapshot(&self) -> Vec<(String, BreakerPosition)> {
         let mut entries: Vec<(String, BreakerPosition)> = self
             .breakers
@@ -329,8 +330,8 @@ impl DlqStats {
 }
 
 /// Mesh-wide retry-orchestration counters (see
-/// [`Mesh::retry_metrics`](crate::Mesh::retry_metrics)).
-#[derive(Debug, Clone, Copy, Default)]
+/// [`MeshSnapshot::retry`](crate::MeshSnapshot::retry)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryMetrics {
     /// Retries scheduled (re-appended with a bumped attempt count).
     pub scheduled: u64,

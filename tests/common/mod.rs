@@ -48,3 +48,11 @@ pub fn chaos_seed(default: u64) -> u64 {
         })
         .unwrap_or(default)
 }
+
+/// A snapshot of component `id`, taken now.
+pub fn component(mesh: &kar::Mesh, id: kar_types::ComponentId) -> kar::ComponentSnapshot {
+    mesh.snapshot()
+        .component(id)
+        .cloned()
+        .expect("the mesh added this component")
+}

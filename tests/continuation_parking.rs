@@ -140,10 +140,12 @@ fn kill_while_parked_preserves_exactly_once_and_fifo() {
                     break None;
                 }
                 let parked = mesh_for_chaos
-                    .live_components()
-                    .into_iter()
-                    .filter(|c| *c != client_component && *c != back_host)
-                    .find(|c| mesh_for_chaos.parked_continuations(*c).unwrap_or(0) > 0);
+                    .snapshot()
+                    .components
+                    .iter()
+                    .filter(|c| c.alive && c.id != client_component && c.id != back_host)
+                    .find(|c| c.parked_continuations > 0)
+                    .map(|c| c.id);
                 if parked.is_some() {
                     break parked;
                 }
@@ -176,7 +178,7 @@ fn kill_while_parked_preserves_exactly_once_and_fifo() {
             println!(
                 "record {i}: {result:?} after {:?}\n{}",
                 t0.elapsed(),
-                mesh.debug_report()
+                mesh.snapshot()
             );
         }
     }

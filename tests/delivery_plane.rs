@@ -176,15 +176,10 @@ fn single_consumer_components_serve_all_partitions_promptly() {
             .call(&ActorRef::new("Ledger", format!("g{i}")), "get", vec![])
             .unwrap();
     }
-    let set = mesh.partition_set(server).unwrap();
-    let broker = mesh.broker();
-    let touched = set
-        .home()
-        .iter()
-        .filter(|p| broker.end_offset(TOPIC, **p) > 0)
-        .count();
+    let snapshot = common::component(&mesh, server);
+    let touched = snapshot.queues.iter().filter(|q| q.end_offset > 0).count();
     assert!(touched >= 3, "8 actors only touched {touched} partitions");
-    assert_eq!(mesh.consumer_threads(server), Some(1));
+    assert_eq!(snapshot.lanes, 1);
 
     // Sparse sequential calls: the single consumer thread parks between
     // them, so every call exercises the wakeup path on both legs. Under the
@@ -320,7 +315,7 @@ fn adopted_partitions_retire_after_the_horizon_under_seeded_chaos() {
     let victim = if rng.below(0, 2) == 0 { a } else { b };
     let survivor = if victim == a { b } else { a };
     let kill_after = rng.below(5, 30);
-    let steady_consumers = mesh.consumer_threads(survivor).unwrap();
+    let steady_consumers = common::component(&mesh, survivor).lanes;
     assert_eq!(steady_consumers, PARTITIONS, "1:1 consumer layout expected");
     let killer = {
         let mesh = mesh.clone();
@@ -359,13 +354,16 @@ fn adopted_partitions_retire_after_the_horizon_under_seeded_chaos() {
         "[seed {seed:#x}] victim's range not fully re-homed: {rehomed:?}"
     );
     // The adopted range runs on an extra consumer thread until retirement.
-    let adopted_now = mesh.partition_set(survivor).unwrap().adopted().to_vec();
+    let adopted_now = common::component(&mesh, survivor)
+        .partitions
+        .adopted()
+        .to_vec();
     assert_eq!(adopted_now, rehomed, "[seed {seed:#x}] adoption mismatch");
 
     // Wait out the horizon: the adopted partitions drain, then retire.
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        let set = mesh.partition_set(survivor).unwrap();
+        let set = common::component(&mesh, survivor).partitions;
         if set.adopted().is_empty() {
             break;
         }
@@ -376,7 +374,7 @@ fn adopted_partitions_retire_after_the_horizon_under_seeded_chaos() {
         );
         std::thread::sleep(Duration::from_millis(25));
     }
-    let mut retired = mesh.retired_partitions(survivor).unwrap();
+    let mut retired = common::component(&mesh, survivor).retired;
     retired.sort_unstable();
     assert_eq!(retired, rehomed, "[seed {seed:#x}] retirement log mismatch");
     let broker = mesh.broker();
@@ -394,13 +392,13 @@ fn adopted_partitions_retire_after_the_horizon_under_seeded_chaos() {
     // The consumer-thread count is back to the pre-failure steady state.
     let settle = Instant::now() + Duration::from_secs(5);
     loop {
-        if mesh.consumer_threads(survivor) == Some(steady_consumers) {
+        let lanes = common::component(&mesh, survivor).lanes;
+        if lanes == steady_consumers {
             break;
         }
         assert!(
             Instant::now() < settle,
-            "[seed {seed:#x}] consumer threads stuck at {:?}, steady state is {steady_consumers}",
-            mesh.consumer_threads(survivor)
+            "[seed {seed:#x}] consumer lanes stuck at {lanes}, steady state is {steady_consumers}"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -459,23 +457,24 @@ fn idle_state_cache_entries_are_evicted_on_the_retention_clock() {
             )
             .unwrap();
     }
-    assert!(mesh.cached_state_count(server).unwrap_or(0) > 0);
+    assert!(common::component(&mesh, server).cached_states > 0);
 
     // Idle for > two retention windows: every clean entry ages out.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        if mesh.cached_state_count(server) == Some(0) {
+        let snapshot = common::component(&mesh, server);
+        if snapshot.cached_states == 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "idle state-cache entries never evicted ({} left, {} evictions)",
-            mesh.cached_state_count(server).unwrap_or(0),
-            mesh.state_cache_evictions(server).unwrap_or(0)
+            snapshot.cached_states,
+            snapshot.state_cache_evictions
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert!(mesh.state_cache_evictions(server).unwrap() >= 6);
+    assert!(common::component(&mesh, server).state_cache_evictions >= 6);
 
     // Evicted actors re-load durable state transparently.
     let log = client

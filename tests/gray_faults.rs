@@ -141,7 +141,7 @@ fn lost_flush_acks_stay_exactly_once_through_dedup() {
         );
     }
 
-    let stats = mesh.fault_stats().expect("the fault plan is armed");
+    let stats = mesh.snapshot().faults.expect("the fault plan is armed");
     let flush = stats.site(FaultSite::StoreFlush);
     println!(
         "store-flush site: {} draws, {} transient, {} acks dropped",
@@ -258,7 +258,8 @@ fn dlq_retry_claim_is_exactly_once_under_lost_admin_acks() {
     assert_eq!(mesh.dlq_stats().total(), 0, "every entry is consumed");
 
     let admin = mesh
-        .fault_stats()
+        .snapshot()
+        .faults
         .expect("the fault plan is armed")
         .site(FaultSite::StoreAdmin);
     println!(
@@ -358,7 +359,7 @@ fn kills_layered_on_gray_faults_keep_order_and_exactly_once() {
     done.store(true, Ordering::Relaxed);
     chaos.join().unwrap();
 
-    let stats = mesh.fault_stats().expect("the fault plan is armed");
+    let stats = mesh.snapshot().faults.expect("the fault plan is armed");
     println!(
         "matrix: {} faults injected over {} draws, {} store ops browned out",
         stats.total_faults(),
@@ -405,8 +406,10 @@ fn consumer_poll_faults_redeliver_without_duplication() {
             "poll redelivery must not duplicate or reorder applies"
         );
     }
-    let site = mesh
-        .fault_stats()
+    let snapshot = mesh.snapshot();
+    let site = snapshot
+        .faults
+        .as_ref()
         .expect("the fault plan is armed")
         .site(FaultSite::ConsumerPoll);
     println!(
@@ -417,7 +420,10 @@ fn consumer_poll_faults_redeliver_without_duplication() {
         site.transient >= 1 && site.ack_lost >= 1,
         "5% transient + 5% ack-lost over a continuously polling consumer must fire: {site:?}"
     );
-    let survived = mesh.poll_faults(host).expect("the host is alive");
+    let survived = snapshot
+        .component(host)
+        .expect("the host exists")
+        .poll_faults;
     assert!(
         survived >= 1,
         "transient poll failures are retried in place, not fatal to the consumer"
@@ -466,7 +472,8 @@ fn retry_clock_skew_is_counted_and_keeps_orchestration_exactly_once() {
     assert_eq!(executions.load(Ordering::SeqCst), 1);
 
     let site = mesh
-        .fault_stats()
+        .snapshot()
+        .faults
         .expect("the fault plan is armed")
         .site(FaultSite::RetryClock);
     println!(
@@ -476,10 +483,6 @@ fn retry_clock_skew_is_counted_and_keeps_orchestration_exactly_once() {
     assert!(
         site.draws >= 1 && site.skews >= 1,
         "a 70% skew rate across the retry schedule must fire: {site:?}"
-    );
-    assert!(
-        mesh.debug_report().contains("retry_clock:"),
-        "skew counters surface in the debug report"
     );
     mesh.shutdown();
 }

@@ -157,7 +157,7 @@ fn skewed_tells_stay_fifo_and_actually_steal() {
 
     // Stealing must have fired (8 skewed actors on 1 of 8 shards), and it
     // must not have reordered any actor's mailbox.
-    let steals = mesh.steal_count(server).unwrap();
+    let steals = mesh.snapshot().component(server).unwrap().dispatch.steals;
     assert!(steals > 0, "skewed workload never triggered a steal");
     for name in &names {
         let target = ActorRef::new("Ledger", name);
@@ -172,7 +172,15 @@ fn skewed_tells_stay_fifo_and_actually_steal() {
             );
         }
     }
-    let loads = mesh.shard_loads(server).unwrap();
+    let snapshot = mesh.snapshot();
+    let loads: Vec<u64> = snapshot
+        .component(server)
+        .unwrap()
+        .dispatch
+        .shards
+        .iter()
+        .map(|shard| shard.load)
+        .collect();
     assert_eq!(loads.len(), WORKERS);
     assert!(
         loads.iter().filter(|&&l| l > 0).count() > 1,
@@ -233,13 +241,13 @@ fn exactly_once_and_order_survive_kill_recovery_with_stealing() {
         // pre-kill samples were too early for.
         let mut observed_steals = 0u64;
         let sample = |observed: &mut u64| {
-            for component in chaos_mesh
-                .live_components()
-                .into_iter()
-                .filter(|c| *c != client_component)
-            {
-                *observed += chaos_mesh.steal_count(component).unwrap_or(0);
-            }
+            *observed += chaos_mesh
+                .snapshot()
+                .components
+                .iter()
+                .filter(|c| c.alive && c.id != client_component)
+                .map(|c| c.dispatch.steals)
+                .sum::<u64>();
         };
         for round in 0..3 {
             std::thread::sleep(Duration::from_millis(60));

@@ -289,17 +289,17 @@ fn run_chaos(matrix_seed: u64) {
             .iter()
             .flat_map(|record| record.rehomed_partitions.iter().copied())
             .collect();
-        let adopted: Vec<usize> = mesh
-            .live_components()
-            .into_iter()
-            .filter_map(|component| mesh.partition_set(component))
-            .flat_map(|set| set.adopted().to_vec())
+        let snapshot = mesh.snapshot();
+        let adopted: Vec<usize> = snapshot
+            .components
+            .iter()
+            .filter(|c| c.alive)
+            .flat_map(|c| c.partitions.adopted().to_vec())
             .collect();
-        let retired: Vec<usize> = mesh
-            .all_components()
-            .into_iter()
-            .filter_map(|component| mesh.retired_partitions(component))
-            .flatten()
+        let retired: Vec<usize> = snapshot
+            .components
+            .iter()
+            .flat_map(|c| c.retired.iter().copied())
             .collect();
         let missing: Vec<usize> = rehomed
             .iter()
@@ -339,17 +339,11 @@ fn run_chaos(matrix_seed: u64) {
         .count();
     if multi_range_recoveries >= 2 {
         let holders: std::collections::HashSet<ComponentId> = mesh
-            .all_components()
-            .into_iter()
-            .filter(|component| {
-                let adopted = mesh
-                    .partition_set(*component)
-                    .is_some_and(|set| !set.adopted().is_empty());
-                let retired = mesh
-                    .retired_partitions(*component)
-                    .is_some_and(|retired| !retired.is_empty());
-                adopted || retired
-            })
+            .snapshot()
+            .components
+            .iter()
+            .filter(|c| !c.partitions.adopted().is_empty() || !c.retired.is_empty())
+            .map(|c| c.id)
             .collect();
         assert!(
             holders.len() >= 2,
@@ -361,9 +355,11 @@ fn run_chaos(matrix_seed: u64) {
     eprintln!(
         "[seed {seed:#x}] ok: {} recoveries re-homed partitions {rehomed:?}; steals: {}",
         recoveries.len(),
-        mesh.live_components()
+        mesh.snapshot()
+            .components
             .iter()
-            .map(|c| mesh.steal_count(*c).unwrap_or(0))
+            .filter(|c| c.alive)
+            .map(|c| c.dispatch.steals)
             .sum::<u64>(),
     );
     mesh.shutdown();
@@ -403,7 +399,7 @@ fn a_four_partition_component_receives_traffic_on_every_partition() {
             )
             .unwrap();
     }
-    let set = mesh.partition_set(server).expect("server partition set");
+    let set = common::component(&mesh, server).partitions;
     assert_eq!(set.home().len(), 4);
     let broker = mesh.broker();
     for partition in set.home() {
@@ -433,7 +429,7 @@ fn partitions_orphaned_by_a_total_hosting_failure_are_adopted_by_a_later_recover
     client
         .call(&ActorRef::new("Ledger", "a"), "record", vec![Value::Int(0)])
         .unwrap();
-    let orphan_range = mesh.partition_set(only_host).expect("host set").all();
+    let orphan_range = common::component(&mesh, only_host).partitions.all();
 
     mesh.kill_component(only_host);
     assert!(mesh.wait_for_recoveries(1, Duration::from_secs(10)));
@@ -450,7 +446,7 @@ fn partitions_orphaned_by_a_total_hosting_failure_are_adopted_by_a_later_recover
     let node2 = mesh.add_node();
     let survivor = mesh.add_component(node2, "survivor", |c| c.host("Ledger", || Box::new(Ledger)));
     let victim = mesh.add_component(node2, "victim", |c| c.host("Ledger", || Box::new(Ledger)));
-    let victim_range = mesh.partition_set(victim).expect("victim set").all();
+    let victim_range = common::component(&mesh, victim).partitions.all();
     mesh.kill_component(victim);
     assert!(mesh.wait_for_recoveries(2, Duration::from_secs(10)));
     let second = mesh.recovery_log().last().cloned().expect("second record");
@@ -462,7 +458,7 @@ fn partitions_orphaned_by_a_total_hosting_failure_are_adopted_by_a_later_recover
             second.rehomed_partitions
         );
     }
-    let adopted = mesh.partition_set(survivor).expect("survivor set");
+    let adopted = common::component(&mesh, survivor).partitions;
     for partition in orphan_range.iter().chain(victim_range.iter()) {
         assert!(
             adopted.adopted().contains(partition),
@@ -515,7 +511,12 @@ fn chained_failures_spread_adopted_ranges_by_current_load() {
     assert!(mesh.wait_for_recoveries(1, Duration::from_secs(10)));
     let after_first: Vec<usize> = [b, c]
         .iter()
-        .map(|survivor| mesh.partition_set(*survivor).unwrap().adopted().len())
+        .map(|survivor| {
+            common::component(&mesh, *survivor)
+                .partitions
+                .adopted()
+                .len()
+        })
         .collect();
     assert_eq!(
         after_first,
@@ -531,8 +532,8 @@ fn chained_failures_spread_adopted_ranges_by_current_load() {
     let fresh = mesh.add_component(node2, "fresh", |c| c.host("Ledger", || Box::new(Ledger)));
     mesh.kill_component(b);
     assert!(mesh.wait_for_recoveries(2, Duration::from_secs(10)));
-    let c_count = mesh.partition_set(c).unwrap().adopted().len();
-    let fresh_count = mesh.partition_set(fresh).unwrap().adopted().len();
+    let c_count = common::component(&mesh, c).partitions.adopted().len();
+    let fresh_count = common::component(&mesh, fresh).partitions.adopted().len();
     assert_eq!(
         c_count + fresh_count,
         8,

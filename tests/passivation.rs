@@ -3,7 +3,7 @@
 //! 1. **Lifecycle** — an actor idle past the (compressed) retention window
 //!    is flushed and dropped from memory; the next request rehydrates it
 //!    through the ordinary placement/admission path with its durable state
-//!    intact, and `Mesh::debug_report` exposes the resident-set counters.
+//!    intact, and `Mesh::snapshot` exposes the resident-set counters.
 //! 2. **Aged-bookkeeping pin** — a passivated-then-rehydrated actor must
 //!    not resurrect a stale dedup entry or steal route: sequence-numbered
 //!    records stay exactly-once and in order across passivation,
@@ -101,13 +101,14 @@ fn wait_until(deadline: Duration, what: &str, mut condition: impl FnMut() -> boo
     }
 }
 
-/// Sum of `(passivations, rehydrations, admission_deferrals)` over the live
-/// components of `mesh`.
-fn total_passivation_stats(mesh: &Mesh) -> (u64, u64, u64) {
-    mesh.live_components()
-        .into_iter()
-        .filter_map(|c| mesh.passivation_stats(c))
-        .fold((0, 0, 0), |acc, s| (acc.0 + s.0, acc.1 + s.1, acc.2 + s.2))
+/// Passivations performed by the live components of `mesh`.
+fn live_passivations(mesh: &Mesh) -> u64 {
+    mesh.snapshot()
+        .components
+        .iter()
+        .filter(|c| c.alive)
+        .map(|c| c.passivations)
+        .sum()
 }
 
 #[test]
@@ -122,26 +123,15 @@ fn idle_actor_passivates_and_rehydrates_with_state_intact() {
     for i in 0..3 {
         client.call(&target, "push", vec![Value::Int(i)]).unwrap();
     }
-    assert_eq!(mesh.resident_actors(server), Some(1));
+    assert_eq!(common::component(&mesh, server).resident, 1);
 
     // Idle for one to two windows: the sweep flushes and drops the slot.
     wait_until(Duration::from_secs(10), "the actor to passivate", || {
-        mesh.passivation_stats(server).unwrap().0 >= 1
+        common::component(&mesh, server).passivations >= 1
     });
-    assert_eq!(
-        mesh.resident_actors(server),
-        Some(0),
-        "passivated actor still resident"
-    );
-    let report = mesh.debug_report();
-    assert!(
-        report.contains("passivations=1"),
-        "debug_report missing passivation counters:\n{report}"
-    );
-    assert!(
-        report.contains("resident=0"),
-        "debug_report missing resident set:\n{report}"
-    );
+    let snapshot = common::component(&mesh, server);
+    assert_eq!(snapshot.resident, 0, "passivated actor still resident");
+    assert_eq!(snapshot.passivations, 1, "one idle actor passivates once");
 
     // The next request rehydrates through the ordinary admission path with
     // the flushed state intact.
@@ -152,9 +142,9 @@ fn idle_actor_passivates_and_rehydrates_with_state_intact() {
         vec![Value::Int(0), Value::Int(1), Value::Int(2)],
         "state lost across passivation"
     );
-    let (_, rehydrations, _) = mesh.passivation_stats(server).unwrap();
-    assert!(rehydrations >= 1, "rehydration not counted");
-    assert_eq!(mesh.resident_actors(server), Some(1));
+    let snapshot = common::component(&mesh, server);
+    assert!(snapshot.rehydrations >= 1, "rehydration not counted");
+    assert_eq!(snapshot.resident, 1);
     mesh.shutdown();
 }
 
@@ -174,14 +164,14 @@ fn rehydration_resurrects_no_stale_bookkeeping_across_recovery() {
         client.call(&target, "record", vec![Value::Int(i)]).unwrap();
     }
     wait_until(Duration::from_secs(10), "the actor to passivate", || {
-        mesh.passivation_stats(server).unwrap().0 >= 1
+        common::component(&mesh, server).passivations >= 1
     });
 
     // Rehydrate and extend the log.
     for i in 10..20 {
         client.call(&target, "record", vec![Value::Int(i)]).unwrap();
     }
-    assert!(mesh.passivation_stats(server).unwrap().1 >= 1);
+    assert!(common::component(&mesh, server).rehydrations >= 1);
 
     // Kill the hosting component mid-life; the replacement must see the
     // passivated actor exactly like one it has never seen.
@@ -308,7 +298,7 @@ fn seeded_kills_during_passivation_keep_exactly_once_and_fifo() {
     // The sweep survived the chaos: the actors idle out and passivate on
     // the surviving components.
     wait_until(Duration::from_secs(10), "post-chaos passivation", || {
-        total_passivation_stats(&mesh).0 >= 1
+        live_passivations(&mesh) >= 1
     });
     mesh.shutdown();
 }
@@ -341,7 +331,8 @@ fn hard_watermark_defers_activations_and_drains_without_drops() {
         driver.join().unwrap();
     }
 
-    let (passivations, _, deferrals) = mesh.passivation_stats(server).unwrap();
+    let snapshot = common::component(&mesh, server);
+    let (passivations, deferrals) = (snapshot.passivations, snapshot.admission_deferrals);
     assert!(
         deferrals >= 1,
         "12 actors admitted against a hard watermark of 4 without a deferral"
@@ -369,7 +360,7 @@ fn hard_watermark_defers_activations_and_drains_without_drops() {
     wait_until(
         Duration::from_secs(10),
         "the resident set to drain under the soft watermark",
-        || mesh.resident_actors(server).unwrap() <= 2,
+        || common::component(&mesh, server).resident <= 2,
     );
     mesh.shutdown();
 }
@@ -393,17 +384,20 @@ fn soft_watermark_keeps_resident_set_bounded_under_churn() {
         let target = ActorRef::new("Ledger", format!("churn-{actor}"));
         client.call(&target, "push", vec![Value::Int(1)]).unwrap();
     }
-    let (_, _, deferrals) = mesh.passivation_stats(server).unwrap();
-    assert_eq!(deferrals, 0, "soft watermark must not defer admissions");
+    assert_eq!(
+        common::component(&mesh, server).admission_deferrals,
+        0,
+        "soft watermark must not defer admissions"
+    );
 
     // The eager sweep pulls the set under the watermark without waiting for
     // the full idle window per actor.
     wait_until(
         Duration::from_secs(10),
         "the eager sweep to reach the soft watermark",
-        || mesh.resident_actors(server).unwrap() <= 8,
+        || common::component(&mesh, server).resident <= 8,
     );
-    let (passivations, _, _) = mesh.passivation_stats(server).unwrap();
+    let passivations = common::component(&mesh, server).passivations;
     assert!(
         passivations >= (ACTORS as u64) - 8,
         "eager sweep passivated only {passivations}"

@@ -65,7 +65,7 @@ fn reactor_pool_is_fixed_as_topology_scales() {
             .expect("warmup call");
     }
 
-    assert_eq!(mesh.reactor_thread_count(), REACTORS);
+    assert_eq!(mesh.snapshot().reactor_threads, REACTORS);
     assert_eq!(
         threads_named("kar-reactor-"),
         REACTORS,
@@ -79,10 +79,13 @@ fn reactor_pool_is_fixed_as_topology_scales() {
             c.host("Echo", || Box::new(Echo))
         });
     }
-    let mut lanes = 0;
-    for component in mesh.live_components() {
-        lanes += mesh.consumer_threads(component).unwrap_or(0);
-    }
+    let lanes: usize = mesh
+        .snapshot()
+        .components
+        .iter()
+        .filter(|c| c.alive)
+        .map(|c| c.lanes)
+        .sum();
     for actor in 0..2 * GROWTH {
         client
             .call(
@@ -102,7 +105,7 @@ fn reactor_pool_is_fixed_as_topology_scales() {
         REACTORS,
         "the reactor pool grew with topology"
     );
-    assert_eq!(mesh.reactor_thread_count(), REACTORS);
+    assert_eq!(mesh.snapshot().reactor_threads, REACTORS);
     for legacy in [
         "kar-consumer-",
         "kar-dispatch-",

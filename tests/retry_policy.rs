@@ -89,10 +89,12 @@ fn kill_during_backoff_resumes_schedule_instead_of_resetting() {
                 break None;
             }
             let parked = mesh_for_chaos
-                .live_components()
-                .into_iter()
-                .filter(|c| *c != client_component)
-                .find(|c| mesh_for_chaos.delayed_retries(*c).unwrap_or(0) > 0);
+                .snapshot()
+                .components
+                .iter()
+                .filter(|c| c.alive && c.id != client_component)
+                .find(|c| c.delayed_retries > 0)
+                .map(|c| c.id);
             if parked.is_some() {
                 break parked;
             }
@@ -150,7 +152,7 @@ fn kill_during_backoff_resumes_schedule_instead_of_resetting() {
         Some(FAIL_BELOW),
         "the schedule never reached the succeeding attempt: {seen:?}"
     );
-    let metrics = mesh.retry_metrics();
+    let metrics = mesh.snapshot().retry;
     assert!(
         metrics.scheduled >= u64::from(FAIL_BELOW),
         "every failed attempt must schedule a retry: {metrics:?}"
@@ -224,7 +226,7 @@ fn breaker_stays_open_across_recovery_and_probes_closed() {
     // Feed the breaker's window until it opens (it never opens before the
     // window is full, so at least `window` failing calls are needed).
     let deadline = Instant::now() + Duration::from_secs(10);
-    while mesh.breaker_position("Brittle") != BreakerPosition::Open {
+    while mesh.snapshot().breaker("Brittle") != BreakerPosition::Open {
         assert!(
             Instant::now() < deadline,
             "breaker never opened under a 100%-failing actor"
@@ -262,7 +264,7 @@ fn breaker_stays_open_across_recovery_and_probes_closed() {
         "the kill was never recovered"
     );
     assert_eq!(
-        mesh.breaker_position("Brittle"),
+        mesh.snapshot().breaker("Brittle"),
         BreakerPosition::Open,
         "recovery must not reset an open breaker"
     );
@@ -274,7 +276,7 @@ fn breaker_stays_open_across_recovery_and_probes_closed() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let result = client.call(&target, "poke", vec![]);
-        if result.is_ok() && mesh.breaker_position("Brittle") == BreakerPosition::Closed {
+        if result.is_ok() && mesh.snapshot().breaker("Brittle") == BreakerPosition::Closed {
             break;
         }
         assert!(
@@ -283,7 +285,7 @@ fn breaker_stays_open_across_recovery_and_probes_closed() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    let metrics = mesh.retry_metrics();
+    let metrics = mesh.snapshot().retry;
     assert!(metrics.breaker_opened >= 1, "no open recorded: {metrics:?}");
     assert!(
         metrics.breaker_fast_fails >= 1,
@@ -360,7 +362,7 @@ fn budget_sheds_under_failing_callee_without_melting() {
         driver.join().unwrap();
     }
 
-    let metrics = mesh.retry_metrics();
+    let metrics = mesh.snapshot().retry;
     assert!(
         metrics.shed >= 1,
         "a 5-token budget under ~{} retries must shed: {metrics:?}",
@@ -418,7 +420,7 @@ fn dead_letter_is_exactly_once_and_dlq_retry_reinjects_exactly_once() {
     assert_eq!(entry.method, "work");
     assert_eq!(entry.attempts, 3, "provenance must carry the attempt count");
     assert!(entry.last_error.is_some());
-    assert_eq!(mesh.retry_metrics().dead_lettered, 1);
+    assert_eq!(mesh.snapshot().retry.dead_lettered, 1);
     let executed_before_retry = executions.load(Ordering::SeqCst);
 
     // Heal the dependency and re-inject: the entry is consumed (second

@@ -1,11 +1,11 @@
 //! Deterministic-simulation replay guarantees: the same `(seed, config,
 //! workload)` triple runs the same execution twice — byte-identical event
-//! traces, identical final debug-report counters — including under injected
+//! traces, identical final mesh snapshots — including under injected
 //! component kills driven as scheduler events.
 
 use std::time::Duration;
 
-use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
+use kar::{Actor, ActorContext, Mesh, MeshConfig, MeshSnapshot, Outcome};
 use kar_types::{ActorRef, KarError, KarResult, Value};
 
 struct Accumulator;
@@ -41,7 +41,7 @@ impl Actor for Accumulator {
 /// One simulated run: a two-component mesh, a handful of increments spread
 /// over three actors, final reads. Returns everything observable about the
 /// execution.
-fn run_quiet(seed: u64) -> (Vec<String>, String, Vec<i64>) {
+fn run_quiet(seed: u64) -> (Vec<String>, MeshSnapshot, Vec<i64>) {
     let mesh = Mesh::new(MeshConfig::deterministic(seed));
     let node = mesh.add_node();
     mesh.add_component(node, "alpha", |b| {
@@ -64,14 +64,14 @@ fn run_quiet(seed: u64) -> (Vec<String>, String, Vec<i64>) {
         values.push(value.as_i64().expect("counter value is an int"));
     }
     let trace = mesh.sim_take_trace();
-    let report = mesh.debug_report();
+    let snapshot = mesh.snapshot();
     mesh.shutdown();
-    (trace, report, values)
+    (trace, snapshot, values)
 }
 
 /// One simulated chaos run: kill the first component at a scheduled step
 /// mid-workload, wait for recovery, finish the workload.
-fn run_chaos(seed: u64, kill_step: u64) -> (Vec<String>, String, Vec<i64>, usize) {
+fn run_chaos(seed: u64, kill_step: u64) -> (Vec<String>, MeshSnapshot, Vec<i64>, usize) {
     let mesh = Mesh::new(MeshConfig::deterministic(seed));
     let node = mesh.add_node();
     let alpha = mesh.add_component(node, "alpha", |b| {
@@ -99,20 +99,23 @@ fn run_chaos(seed: u64, kill_step: u64) -> (Vec<String>, String, Vec<i64>, usize
         values.push(value.as_i64().expect("counter value is an int"));
     }
     let trace = mesh.sim_take_trace();
-    let report = mesh.debug_report();
+    let snapshot = mesh.snapshot();
     let recoveries = mesh.recoveries();
     mesh.shutdown();
-    (trace, report, values, recoveries)
+    (trace, snapshot, values, recoveries)
 }
 
 #[test]
 fn a_quiet_run_is_exact_and_replays_byte_identically() {
-    let (trace_a, report_a, values_a) = run_quiet(42);
+    let (trace_a, snapshot_a, values_a) = run_quiet(42);
     assert_eq!(values_a, vec![3, 3, 3], "9 increments over 3 actors");
     assert!(!trace_a.is_empty(), "the trace records the schedule");
-    let (trace_b, report_b, values_b) = run_quiet(42);
+    let (trace_b, snapshot_b, values_b) = run_quiet(42);
     assert_eq!(values_a, values_b);
-    assert_eq!(report_a, report_b, "final counters replay exactly");
+    assert_eq!(
+        snapshot_a, snapshot_b,
+        "the final mesh state replays exactly"
+    );
     assert_eq!(trace_a, trace_b, "the schedule replays byte-identically");
 }
 
@@ -128,7 +131,7 @@ fn different_seeds_explore_different_schedules() {
 
 #[test]
 fn a_chaos_run_with_a_scheduled_kill_replays_byte_identically() {
-    let (trace_a, report_a, values_a, recoveries_a) = run_chaos(1234, 40);
+    let (trace_a, snapshot_a, values_a, recoveries_a) = run_chaos(1234, 40);
     assert_eq!(recoveries_a, 1);
     assert_eq!(
         values_a,
@@ -139,10 +142,10 @@ fn a_chaos_run_with_a_scheduled_kill_replays_byte_identically() {
         trace_a.iter().any(|line| line.contains("kill:")),
         "the kill is part of the recorded schedule: {trace_a:?}"
     );
-    let (trace_b, report_b, values_b, recoveries_b) = run_chaos(1234, 40);
+    let (trace_b, snapshot_b, values_b, recoveries_b) = run_chaos(1234, 40);
     assert_eq!(values_a, values_b);
     assert_eq!(recoveries_a, recoveries_b);
-    assert_eq!(report_a, report_b);
+    assert_eq!(snapshot_a, snapshot_b);
     assert_eq!(trace_a, trace_b, "chaos replays byte-identically");
 }
 

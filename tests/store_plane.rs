@@ -233,8 +233,8 @@ fn acknowledged_state_is_durable_before_the_response_returns() {
         }
     }
     assert_eq!(
-        mesh.cached_state_count(server),
-        Some(1),
+        common::component(&mesh, server).cached_states,
+        1,
         "the hot actor's state image should be cached"
     );
 
