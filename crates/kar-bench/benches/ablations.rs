@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for two of the runtime's design choices:
 //!
 //! * tail-call increment (one client round trip, exactly-once) versus the
 //!   naive get-then-set increment (two client round trips, not fault safe),

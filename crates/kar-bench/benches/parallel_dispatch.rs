@@ -1,7 +1,7 @@
 //! Criterion bench for the sharded parallel dispatcher: one full multi-actor
 //! throughput measurement per dispatch worker count, tracking the scaling of
-//! the hot path over time (complements the `bench_messaging` binary, which
-//! emits `BENCH_messaging.json`).
+//! the hot path over time (the tier-1 test
+//! `four_workers_at_least_double_single_worker_throughput` gates it).
 
 use std::time::Duration;
 
@@ -19,7 +19,7 @@ fn bench_dispatch_scaling(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(10));
     for workers in [1usize, 4] {
         group.bench_function(format!("{workers}_workers_160_calls"), |b| {
-            b.iter(|| measure_throughput(workers, &config).total_calls)
+            b.iter(|| measure_throughput(workers, &config).calls.total_calls)
         });
     }
     group.finish();

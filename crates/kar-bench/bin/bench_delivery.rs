@@ -1,87 +1,17 @@
-//! Delivery-plane sweep: end-to-end call throughput/latency with response
-//! batching off vs on (8 callers funnelling responses into one client
-//! partition) and consumer wakeup latency under the replayed rotating park
-//! vs the shared wait group.
+//! Delivery-plane sweep: call throughput and latency with response batching
+//! off vs on (8 callers funnelling responses into one client partition), and
+//! consumer wakeup latency under the replayed rotating park vs the shared
+//! wait group. Gated on batching lifting call throughput at least 1.5×.
 //!
-//! Prints both tables and writes `BENCH_delivery.json` to the current
-//! directory.
-//!
-//! Usage:
-//!   cargo run --release -p kar-bench --bin bench_delivery [out.json]
-//!   cargo run --release -p kar-bench --bin bench_delivery -- --smoke
-//!
-//! `--smoke` runs a seconds-scale shrunken workload and writes no file: CI
-//! uses it to surface delivery-plane regressions (a response batcher that
-//! wedges, a group wait that misses appends) as hard failures.
+//! Usage: `cargo run --release -p kar-bench --bin bench_delivery [-- --smoke | -- OUT.json]`
+//! (the shared command line of `kar_bench::report::run_bench`).
 
-use kar_bench::delivery::{
-    batched_over_unbatched, call_path_row, call_path_sweep, to_json, wakeup_row, wakeup_sweep,
-    DeliveryConfig, WakeupConfig, ROTATION_SLICE,
-};
+use std::process::ExitCode;
 
-fn main() {
-    let arg = std::env::args().nth(1);
-    let smoke = arg.as_deref() == Some("--smoke");
-    let (call_config, wakeup_config) = if smoke {
-        (DeliveryConfig::smoke(), WakeupConfig::smoke())
-    } else {
-        (DeliveryConfig::default(), WakeupConfig::default())
-    };
-
-    println!(
-        "Call path: {} callers x {} calls, {}us durable ack, {} server home partitions, \
-         1 client partition (every response funnels into it)",
-        call_config.callers,
-        call_config.calls_per_caller,
-        call_config.append_latency.as_micros(),
-        call_config.server_partitions,
-    );
-    println!(
-        "{:>9} {:>8} {:>12} {:>10} {:>10} {:>12}",
-        "responses", "calls", "calls/s", "p50 ms", "p99 ms", "flush/enq"
-    );
-    let call_reports = call_path_sweep(&call_config);
-    for report in &call_reports {
-        println!("{}", call_path_row(report));
-    }
-    println!(
-        "response batching speedup: {:.2}x (gate >= 1.5x)",
-        batched_over_unbatched(&call_reports)
-    );
-
-    println!(
-        "\nWakeup latency: 1 consumer thread x {} partitions, {} appends cycling \
-         the partitions every {}us",
-        wakeup_config.partitions,
-        wakeup_config.appends,
-        wakeup_config.gap.as_micros(),
-    );
-    println!(
-        "{:>10} {:>8} {:>10} {:>10} {:>10}",
-        "strategy", "appends", "p50 us", "p99 us", "max us"
-    );
-    let wakeup_reports = wakeup_sweep(&wakeup_config);
-    for report in &wakeup_reports {
-        println!("{}", wakeup_row(report));
-    }
-    let group_p99 = wakeup_reports
-        .iter()
-        .find(|r| r.strategy == "group-wait")
-        .map(|r| r.p99)
-        .unwrap_or_default();
-    println!(
-        "group-wait p99: {:.0}us (gate <= {:.0}us, half the {:.0}us rotation slice)",
-        group_p99.as_secs_f64() * 1e6,
-        ROTATION_SLICE.as_secs_f64() * 1e6 / 2.0,
-        ROTATION_SLICE.as_secs_f64() * 1e6,
-    );
-
-    if smoke {
-        println!("\nsmoke mode: workloads completed without deadlock, no file written");
-        return;
-    }
-    let out_path = arg.unwrap_or_else(|| "BENCH_delivery.json".to_owned());
-    let json = to_json(&call_config, &call_reports, &wakeup_config, &wakeup_reports);
-    std::fs::write(&out_path, &json).expect("write BENCH_delivery.json");
-    println!("\nwrote {out_path}");
+fn main() -> ExitCode {
+    kar_bench::report::run_bench(
+        "delivery",
+        "response batching off vs on, and consumer wakeup latency",
+        kar_bench::delivery::bench,
+    )
 }

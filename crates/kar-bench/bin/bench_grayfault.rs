@@ -1,89 +1,18 @@
 //! Gray-failure sweep: goodput of a stateful workload under a seeded ~1%
-//! fault plan (transient errors, dropped acks, a store brownout window) with
-//! an exponential-backoff policy, vs naive immediate re-calls, vs the
-//! fault-free baseline.
+//! fault plan with an exponential-backoff policy, vs naive re-calls, vs the
+//! fault-free baseline. Gated on policy goodput ≥ 0.8× fault-free, no
+//! policy-arm caller error, and exactly-once persistence in every arm.
+//! `KAR_CHAOS_SEED` (decimal or `0x`-hex) replays a fault schedule.
 //!
-//! Prints the table and writes `BENCH_grayfault.json` to the current
-//! directory.
-//!
-//! Usage:
-//!   cargo run --release -p kar-bench --bin bench_grayfault [out.json]
-//!   cargo run --release -p kar-bench --bin bench_grayfault -- --smoke
-//!
-//! `--smoke` runs a seconds-scale shrunken workload and still writes the
-//! JSON document (CI uploads it as an artifact). Both modes enforce the gate
-//! — policy-arm goodput must stay within 0.8× of the fault-free arm — and
-//! exit non-zero when it fails, so CI surfaces a mesh that leaks gray
-//! failures to callers as a hard failure. `KAR_CHAOS_SEED` (decimal or
-//! `0x`-hex) replays a specific fault schedule.
+//! Usage: `cargo run --release -p kar-bench --bin bench_grayfault [-- --smoke | -- OUT.json]`
+//! (the shared command line of `kar_bench::report::run_bench`).
 
-use kar_bench::grayfault::{
-    chaos_seed, grayfault_row, grayfault_sweep, policy_over_clean, to_json, GrayFaultConfig,
-    GATE_MIN_RATIO,
-};
+use std::process::ExitCode;
 
-fn main() {
-    let arg = std::env::args().nth(1);
-    let smoke = arg.as_deref() == Some("--smoke");
-    let mut config = if smoke {
-        GrayFaultConfig::smoke()
-    } else {
-        GrayFaultConfig::default()
-    };
-    config.seed = chaos_seed(config.seed);
-
-    println!(
-        "Gray failures: {} callers x {} stateful calls; {:.1}% transient + \
-         {:.1}% ack-lost at every site, store brownout {} ops @ +{}us after \
-         {} ops ({}ms exp backoff)",
-        config.callers,
-        config.calls_per_caller,
-        config.transient_rate * 100.0,
-        config.ack_lost_rate * 100.0,
-        config.brownout_ops,
-        config.brownout_latency.as_micros(),
-        config.brownout_after_ops,
-        config.backoff_base.as_millis(),
-    );
-    println!(
-        "fault schedule seed: {} (replay with KAR_CHAOS_SEED={})",
-        config.seed, config.seed
-    );
-    println!(
-        "{:>7} {:>7} {:>12} {:>7} {:>8} {:>8} {:>9} {:>9} {:>5} {:>9}",
-        "arm",
-        "calls",
-        "goodput/s",
-        "errors",
-        "injected",
-        "acklost",
-        "brownout",
-        "scheduled",
-        "dlq",
-        "persisted"
-    );
-    let reports = grayfault_sweep(&config);
-    for report in &reports {
-        println!("{}", grayfault_row(report));
-    }
-    let ratio = policy_over_clean(&reports);
-    println!("goodput, policy over fault-free: {ratio:.2}x (gate >= {GATE_MIN_RATIO}x)");
-
-    let out_path = match arg {
-        Some(path) if !smoke => path,
-        _ => "BENCH_grayfault.json".to_owned(),
-    };
-    let json = to_json(&config, &reports);
-    std::fs::write(&out_path, &json).expect("write BENCH_grayfault.json");
-    println!("wrote {out_path}");
-
-    if ratio < GATE_MIN_RATIO {
-        println!(
-            "GATE FAILED: gray failures cost the policy-governed mesh more than \
-             {:.0}% goodput vs fault-free (seed {})",
-            (1.0 - GATE_MIN_RATIO) * 100.0,
-            config.seed,
-        );
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    kar_bench::report::run_bench(
+        "grayfault",
+        "goodput under a seeded gray-failure plan",
+        kar_bench::grayfault::bench,
+    )
 }

@@ -1,53 +1,16 @@
-//! Partition-scaling sweep over home-partition counts.
+//! Partition-scaling sweep: call throughput, p50/p99 latency and partitions
+//! touched of one component at 1/2/4/8 home partitions under an ack-bound
+//! workload.
 //!
-//! Drives the ack-bound multi-actor workload of `kar_bench::partitions` at
-//! 1/2/4/8 home partitions per component, prints the table, and writes
-//! `BENCH_partitions.json` (throughput + p50/p99 latency + partitions
-//! touched per point) to the current directory.
-//!
-//! Usage:
-//!   cargo run --release -p kar-bench --bin bench_partitions [out.json]
-//!   cargo run --release -p kar-bench --bin bench_partitions -- --smoke
-//!
-//! `--smoke` runs a seconds-scale shrunken sweep and writes no file: CI uses
-//! it to surface partition-routing and consumer-fan-out regressions.
+//! Usage: `cargo run --release -p kar-bench --bin bench_partitions [-- --smoke | -- OUT.json]`
+//! (the shared command line of `kar_bench::report::run_bench`).
 
-use kar_bench::partitions::{four_over_one, sweep, table_row, to_json, PartitionSweepConfig};
+use std::process::ExitCode;
 
-fn main() {
-    let arg = std::env::args().nth(1);
-    let smoke = arg.as_deref() == Some("--smoke");
-    let config = if smoke {
-        PartitionSweepConfig::smoke()
-    } else {
-        PartitionSweepConfig::default()
-    };
-
-    println!(
-        "Partition scaling: {} actors x {} calls, {}us durable-ack latency",
-        config.actors,
-        config.calls_per_actor,
-        config.append_latency.as_micros(),
-    );
-    println!(
-        "{:>10} {:>8} {:>12} {:>10} {:>10} {:>9}",
-        "partitions", "calls", "calls/s", "p50 ms", "p99 ms", "touched"
-    );
-    let reports = sweep(&config);
-    for report in &reports {
-        println!("{}", table_row(report));
-    }
-    println!(
-        "speedup at 4 partitions: {:.2}x over 1 partition",
-        four_over_one(&reports)
-    );
-
-    if smoke {
-        println!("smoke mode: sweep completed, no file written");
-        return;
-    }
-    let out_path = arg.unwrap_or_else(|| "BENCH_partitions.json".to_owned());
-    let json = to_json(&config, &reports);
-    std::fs::write(&out_path, &json).expect("write BENCH_partitions.json");
-    println!("wrote {out_path}");
+fn main() -> ExitCode {
+    kar_bench::report::run_bench(
+        "partitions",
+        "call throughput over the home-partition count",
+        kar_bench::partitions::bench,
+    )
 }

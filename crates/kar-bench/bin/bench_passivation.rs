@@ -1,109 +1,18 @@
 //! Resident-set sweep: hot-head goodput over a Zipf actor population far
-//! larger than the resident budget, unbounded vs bounded by the passivation
-//! watermarks.
+//! larger than the resident budget (≥ 1 M keys in the full run, 10× the
+//! budget in the smoke run), unbounded vs bounded by the passivation
+//! watermarks. Gated on bounded goodput ≥ 0.8× unbounded and the bounded
+//! peak resident set staying at the hard watermark.
 //!
-//! Prints the table and writes `BENCH_passivation.json` to the current
-//! directory.
-//!
-//! Usage:
-//!   cargo run --release -p kar-bench --bin bench_passivation [out.json]
-//!   cargo run --release -p kar-bench --bin bench_passivation -- --smoke
-//!
-//! The full run samples the tail from ≥ 1 M distinct actor keys; `--smoke`
-//! runs a seconds-scale workload whose key space is 10× over the resident
-//! budget and still writes the JSON document (CI uploads it as an artifact).
-//! Both modes enforce the gate — hot-head goodput with the watermarks must
-//! stay within 0.8× of the unbounded arm — and exit non-zero when it fails,
-//! so CI surfaces a passivation sweep that starves hot traffic as a hard
-//! failure.
+//! Usage: `cargo run --release -p kar-bench --bin bench_passivation [-- --smoke | -- OUT.json]`
+//! (the shared command line of `kar_bench::report::run_bench`).
 
-use kar_bench::passivation::{
-    bounded_over_unbounded, measure_arm, passivation_row, to_json, PassivationBenchConfig,
-    GATE_MIN_RATIO,
-};
+use std::process::ExitCode;
 
-fn main() {
-    let arg = std::env::args().nth(1);
-    let smoke = arg.as_deref() == Some("--smoke");
-    let config = if smoke {
-        PassivationBenchConfig::smoke()
-    } else {
-        PassivationBenchConfig::default()
-    };
-
-    println!(
-        "Resident set: {} hot callers x {} calls over {} hot keys, {} tail \
-         callers on a Zipf walk of {} keys (budget {}, window {}ms)",
-        config.hot_callers,
-        config.calls_per_caller,
-        config.hot_keys,
-        config.tail_callers,
-        config.key_space,
-        config.resident_budget,
-        config.window.as_millis(),
-    );
-    println!(
-        "{:>9} {:>9} {:>12} {:>9} {:>9} {:>8} {:>8} {:>10} {:>11} {:>9}",
-        "arm",
-        "hot",
-        "goodput/s",
-        "tail",
-        "distinct",
-        "peak",
-        "final",
-        "passivated",
-        "rehydrated",
-        "deferred"
-    );
-    let reports = vec![measure_arm(false, &config), measure_arm(true, &config)];
-    for report in &reports {
-        println!("{}", passivation_row(report));
-    }
-    let ratio = bounded_over_unbounded(&reports);
-    println!("hot-head goodput, bounded over unbounded: {ratio:.2}x (gate >= {GATE_MIN_RATIO}x)");
-
-    let bounded = reports.iter().find(|r| r.arm == "bounded");
-    if let Some(report) = bounded {
-        println!(
-            "resident set: peak {} vs hard watermark {} ({} distinct tail keys paged through)",
-            report.peak_resident,
-            config.resident_budget * 2,
-            report.distinct_tail_keys,
-        );
-    }
-
-    let out_path = match arg {
-        Some(path) if !smoke => path,
-        _ => "BENCH_passivation.json".to_owned(),
-    };
-    let json = to_json(&config, &reports);
-    std::fs::write(&out_path, &json).expect("write BENCH_passivation.json");
-    println!("wrote {out_path}");
-
-    let mut failed = false;
-    if ratio < GATE_MIN_RATIO {
-        println!(
-            "GATE FAILED: bounding the resident set cost the hot head more than \
-             {:.0}% goodput vs the unbounded arm",
-            (1.0 - GATE_MIN_RATIO) * 100.0
-        );
-        failed = true;
-    }
-    if let Some(report) = bounded {
-        // Admission races can overshoot the hard watermark by a handful of
-        // concurrent activations, never by a multiple of it.
-        let ceiling = config.resident_budget * 2 + config.tail_callers + config.hot_callers;
-        if report.peak_resident > ceiling {
-            println!(
-                "GATE FAILED: resident set not bounded — peak {} exceeds hard \
-                 watermark {} (+ racer slack)",
-                report.peak_resident,
-                config.resident_budget * 2
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    kar_bench::report::run_bench(
+        "passivation",
+        "hot-head goodput, resident set unbounded vs bounded",
+        kar_bench::passivation::bench,
+    )
 }

@@ -1,68 +1,16 @@
 //! Retry-orchestration sweep: healthy-path goodput next to a ~30%-failing
 //! neighbor, naive immediate re-calls vs exponential backoff under the mesh
-//! retry budget.
+//! retry budget. Gated on policy goodput ≥ 0.8× the naive arm.
 //!
-//! Prints the table and writes `BENCH_retry.json` to the current directory.
-//!
-//! Usage:
-//!   cargo run --release -p kar-bench --bin bench_retry [out.json]
-//!   cargo run --release -p kar-bench --bin bench_retry -- --smoke
-//!
-//! `--smoke` runs a seconds-scale shrunken workload and still writes the
-//! JSON document (CI uploads it as an artifact). Both modes enforce the gate
-//! — healthy goodput with the policy must stay within 0.8× of the naive arm
-//! — and exit non-zero when it fails, so CI surfaces a retry lane that
-//! starves healthy traffic as a hard failure.
+//! Usage: `cargo run --release -p kar-bench --bin bench_retry [-- --smoke | -- OUT.json]`
+//! (the shared command line of `kar_bench::report::run_bench`).
 
-use kar_bench::retry::{
-    policy_over_none, retry_row, retry_sweep, to_json, RetryBenchConfig, GATE_MIN_RATIO,
-};
+use std::process::ExitCode;
 
-fn main() {
-    let arg = std::env::args().nth(1);
-    let smoke = arg.as_deref() == Some("--smoke");
-    let config = if smoke {
-        RetryBenchConfig::smoke()
-    } else {
-        RetryBenchConfig::default()
-    };
-
-    println!(
-        "Retry orchestration: {} healthy callers x {} calls vs {} callers on a \
-         {}%-failing neighbor ({}ms exp backoff, budget {:.0}/s burst {:.0})",
-        config.healthy_callers,
-        config.calls_per_caller,
-        config.failing_callers,
-        config.failure_percent,
-        config.backoff_base.as_millis(),
-        config.budget_rate,
-        config.budget_burst,
-    );
-    println!(
-        "{:>7} {:>9} {:>12} {:>9} {:>9} {:>10} {:>6} {:>5}",
-        "arm", "healthy", "goodput/s", "failing", "injected", "scheduled", "shed", "dlq"
-    );
-    let reports = retry_sweep(&config);
-    for report in &reports {
-        println!("{}", retry_row(report));
-    }
-    let ratio = policy_over_none(&reports);
-    println!("healthy goodput, policy over naive: {ratio:.2}x (gate >= {GATE_MIN_RATIO}x)");
-
-    let out_path = match arg {
-        Some(path) if !smoke => path,
-        _ => "BENCH_retry.json".to_owned(),
-    };
-    let json = to_json(&config, &reports);
-    std::fs::write(&out_path, &json).expect("write BENCH_retry.json");
-    println!("wrote {out_path}");
-
-    if ratio < GATE_MIN_RATIO {
-        println!(
-            "GATE FAILED: orchestrated retries cost healthy traffic more than \
-             {:.0}% vs naive re-calls",
-            (1.0 - GATE_MIN_RATIO) * 100.0
-        );
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    kar_bench::report::run_bench(
+        "retry",
+        "healthy goodput next to a failing neighbor",
+        kar_bench::retry::bench,
+    )
 }

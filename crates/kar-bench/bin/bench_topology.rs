@@ -1,67 +1,17 @@
-//! Topology-scaling gate for the fixed reactor pool.
+//! Topology-scaling sweep for the fixed reactor pool: call throughput, lane
+//! and resident reactor-thread counts at a 1× (2 components × 2 partitions)
+//! and a 100× (8 × 50) topology. Gated on 100× throughput ≥ 0.8× the 1×
+//! baseline and the pool holding its configured size at both points.
 //!
-//! Drives the fixed multi-actor echo workload of `kar_bench::topology` at
-//! the 1× (2 components × 2 partitions) and 100× (8 components × 50
-//! partitions) scale points with an identical reactor pool, prints the
-//! table, and writes `BENCH_topology.json` (throughput + latency + lane and
-//! resident-thread counts per point) to the current directory.
-//!
-//! Usage:
-//!   cargo run --release -p kar-bench --bin bench_topology [out.json]
-//!   cargo run --release -p kar-bench --bin bench_topology -- --smoke
-//!
-//! `--smoke` runs a seconds-scale workload (same scale points — the 100×
-//! topology is the subject), still writes the JSON document, and **fails**
-//! (exit 1) if throughput at 100× drops below 0.8× the 1× baseline or the
-//! resident reactor-thread count drifts from the configured pool: CI runs it
-//! as the tentpole's regression gate.
+//! Usage: `cargo run --release -p kar-bench --bin bench_topology [-- --smoke | -- OUT.json]`
+//! (the shared command line of `kar_bench::report::run_bench`).
 
-use kar_bench::topology::{
-    hundred_over_one, pool_held, sweep, table_row, to_json, TopologyScaleConfig,
-};
+use std::process::ExitCode;
 
-fn main() {
-    let arg = std::env::args().nth(1);
-    let smoke = arg.as_deref() == Some("--smoke");
-    let config = if smoke {
-        TopologyScaleConfig::smoke()
-    } else {
-        TopologyScaleConfig::default()
-    };
-
-    println!(
-        "Topology scaling: {} actors x {} calls, {}us durable-ack latency, {} reactor threads",
-        config.actors,
-        config.calls_per_actor,
-        config.append_latency.as_micros(),
-        config.reactor_threads,
-    );
-    println!(
-        "{:>6} {:>6} {:>8} {:>6} {:>9} {:>8} {:>12} {:>10} {:>10}",
-        "scale", "comps", "parts/c", "lanes", "reactors", "calls", "calls/s", "p50 ms", "p99 ms"
-    );
-    let reports = sweep(&config);
-    for report in &reports {
-        println!("{}", table_row(report));
-    }
-    let ratio = hundred_over_one(&reports);
-    let held = pool_held(&config, &reports);
-    println!("throughput at 100x topology: {ratio:.2}x of the 1x baseline");
-    println!(
-        "reactor pool held at {} threads across scales: {held}",
-        config.reactor_threads
-    );
-
-    let out_path = match arg {
-        Some(path) if !smoke => path,
-        _ => "BENCH_topology.json".to_owned(),
-    };
-    let json = to_json(&config, &reports);
-    std::fs::write(&out_path, &json).expect("write BENCH_topology.json");
-    println!("wrote {out_path}");
-
-    if smoke && (ratio < 0.8 || !held) {
-        eprintln!("topology gate FAILED: ratio {ratio:.2} (need >= 0.8), pool_held {held}");
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    kar_bench::report::run_bench(
+        "topology",
+        "call throughput from a 1x to a 100x topology",
+        kar_bench::topology::bench,
+    )
 }

@@ -5,7 +5,7 @@
 //! Usage: `cargo run --release -p kar-bench --bin table2_latency [iterations]`
 //! (default: 200 round trips per cell; the paper uses 10,000).
 
-use kar_bench::latency::{measure_row, paper_reference, LatencyConfig};
+use kar_bench::latency::{measure_profile, paper_reference, LatencyConfig};
 use kar_bench::report::millis;
 use kar_types::DeploymentProfile;
 
@@ -23,7 +23,7 @@ fn main() {
     );
     for profile in DeploymentProfile::ALL {
         eprintln!("measuring {profile}...");
-        let row = measure_row(profile, &config);
+        let row = measure_profile(profile, &config);
         println!(
             "{:<14} {:>12} {:>12} {:>12} {:>18}",
             profile.name(),

@@ -14,9 +14,11 @@
 //! * **`naive`** — the same fault plan, but failures are re-called
 //!   immediately in a tight loop, the way unorchestrated clients do.
 //!
-//! The gate: `policy` goodput must stay within
-//! [`GATE_MIN_RATIO`]× of `clean`. A mesh whose hardening leaks injected
-//! gray failures to callers (or melts down replaying them) fails the gate.
+//! The gates: `policy` goodput must stay within [`GATE_MIN_RATIO`]× of
+//! `clean`, no `policy` caller may see an error, and every arm must persist
+//! each acknowledged call exactly once. A mesh whose hardening leaks
+//! injected gray failures to callers (or melts down replaying them, or
+//! applies a call twice) fails the run.
 //!
 //! The fault schedule is seeded — `KAR_CHAOS_SEED` (decimal or `0x`-hex)
 //! overrides the default, and every run prints the effective seed — so a
@@ -29,6 +31,8 @@ use std::time::{Duration, Instant};
 use kar::faults::{BrownoutSpec, FaultPlan, FaultSpec};
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome, RetryPolicy};
 use kar_types::{ActorRef, KarResult, Value};
+
+use crate::report::{as_ms, as_us, ratio, sized, Bound, Gate, Section};
 
 /// Policy-arm goodput must stay within this factor of the fault-free arm.
 pub const GATE_MIN_RATIO: f64 = 0.8;
@@ -268,88 +272,83 @@ pub fn measure_arm(arm: &'static str, config: &GrayFaultConfig) -> GrayFaultRepo
     }
 }
 
-/// Runs the clean → policy → naive sweep.
-pub fn grayfault_sweep(config: &GrayFaultConfig) -> Vec<GrayFaultReport> {
-    vec![
-        measure_arm("clean", config),
-        measure_arm("policy", config),
-        measure_arm("naive", config),
-    ]
+/// The `bench_grayfault` report: the sweep at the smoke or full size, under
+/// the fault schedule `KAR_CHAOS_SEED` selects.
+pub fn bench(smoke: bool) -> Vec<Section> {
+    let mut config = sized(smoke, GrayFaultConfig::smoke);
+    config.seed = chaos_seed(config.seed);
+    println!(
+        "fault schedule seed: {} (replay with KAR_CHAOS_SEED={})",
+        config.seed, config.seed
+    );
+    let reports = ["clean", "policy", "naive"].map(|arm| measure_arm(arm, &config));
+    vec![section(&config, &reports)]
 }
 
-/// Goodput ratio of the policy arm over the fault-free arm (0.0 if either
-/// is missing).
-pub fn policy_over_clean(reports: &[GrayFaultReport]) -> f64 {
-    let at = |arm: &str| reports.iter().find(|r| r.arm == arm).map(|r| r.goodput);
-    match (at("clean"), at("policy")) {
-        (Some(clean), Some(policy)) if clean > 0.0 => policy / clean,
-        _ => 0.0,
-    }
-}
-
-/// One human-readable table row.
-pub fn grayfault_row(report: &GrayFaultReport) -> String {
-    format!(
-        "{:>7} {:>7} {:>12.0} {:>7} {:>8} {:>8} {:>9} {:>9} {:>5} {:>9}",
-        report.arm,
-        report.calls,
-        report.goodput,
-        report.caller_errors,
-        report.faults_injected,
-        report.acks_lost,
-        report.brownout_ops,
-        report.retries_scheduled,
-        report.dead_lettered,
-        report.persisted_total,
+/// The sweep rows, gated on policy goodput over fault-free, on zero
+/// caller-visible errors in the policy arm, and on exactly-once persistence
+/// in every arm: `calls <= persisted_total <= calls + caller_errors` (a
+/// failed call may have applied before its ack was lost).
+fn section(config: &GrayFaultConfig, reports: &[GrayFaultReport]) -> Section {
+    let policy_errors = reports
+        .iter()
+        .find(|r| r.arm == "policy")
+        .map_or(f64::NAN, |r| r.caller_errors as f64);
+    let mut section = Section::new(
+        "gray_faults",
+        vec![
+            ("seed", config.seed.into()),
+            ("callers", config.callers.into()),
+            ("calls_per_caller", config.calls_per_caller.into()),
+            ("transient_rate", config.transient_rate.into()),
+            ("ack_lost_rate", config.ack_lost_rate.into()),
+            ("brownout_after_ops", config.brownout_after_ops.into()),
+            ("brownout_ops", config.brownout_ops.into()),
+            ("brownout_latency_us", as_us(config.brownout_latency).into()),
+            ("backoff_base_ms", as_ms(config.backoff_base).into()),
+        ],
     )
-}
-
-/// Serializes the sweep as the `BENCH_grayfault.json` document (hand-rolled:
-/// the offline serde shim has no serializer).
-pub fn to_json(config: &GrayFaultConfig, reports: &[GrayFaultReport]) -> String {
-    let mut rows = String::new();
-    for (index, report) in reports.iter().enumerate() {
-        if index > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"calls\": {}, \"elapsed_ms\": {:.3}, \
-             \"goodput_calls_per_sec\": {:.1}, \"caller_errors\": {}, \
-             \"faults_injected\": {}, \"acks_lost\": {}, \"brownout_ops\": {}, \
-             \"retries_scheduled\": {}, \"dead_lettered\": {}, \
-             \"persisted_total\": {}}}",
-            report.arm,
-            report.calls,
-            report.elapsed.as_secs_f64() * 1e3,
-            report.goodput,
-            report.caller_errors,
-            report.faults_injected,
-            report.acks_lost,
-            report.brownout_ops,
-            report.retries_scheduled,
-            report.dead_lettered,
-            report.persisted_total,
-        ));
+    .rows(reports.iter().map(|r| {
+        vec![
+            ("arm", r.arm.into()),
+            ("calls", r.calls.into()),
+            ("elapsed_ms", as_ms(r.elapsed).into()),
+            ("goodput_per_sec", r.goodput.into()),
+            ("caller_errors", r.caller_errors.into()),
+            ("faults_injected", r.faults_injected.into()),
+            ("acks_lost", r.acks_lost.into()),
+            ("brownout_ops", r.brownout_ops.into()),
+            ("retries_scheduled", r.retries_scheduled.into()),
+            ("dead_lettered", r.dead_lettered.into()),
+            ("persisted_total", r.persisted_total.into()),
+        ]
+    }))
+    .gate(Gate::new(
+        "goodput_policy_over_clean",
+        ratio(
+            reports.iter().map(|r| (r.arm, r.goodput)),
+            "policy",
+            "clean",
+        ),
+        Bound::AtLeast(GATE_MIN_RATIO),
+    ))
+    .gate(Gate::new(
+        "policy_caller_errors",
+        policy_errors,
+        Bound::AtMost(0.0),
+    ));
+    for r in reports {
+        let name = format!("{}_persisted_total", r.arm);
+        let persisted = r.persisted_total as f64;
+        section = section
+            .gate(Gate::new(&name, persisted, Bound::AtLeast(r.calls as f64)))
+            .gate(Gate::new(
+                name,
+                persisted,
+                Bound::AtMost((r.calls as u64 + r.caller_errors) as f64),
+            ));
     }
-    format!(
-        "{{\n  \"benchmark\": \"gray_faults\",\n  \
-         \"workload\": {{\"seed\": {}, \"callers\": {}, \"calls_per_caller\": {}, \
-         \"transient_rate\": {}, \"ack_lost_rate\": {}, \
-         \"brownout_after_ops\": {}, \"brownout_ops\": {}, \
-         \"brownout_latency_us\": {}, \"backoff_base_ms\": {}}},\n  \
-         \"goodput_policy_over_clean\": {:.2},\n  \
-         \"gate_min_ratio\": {GATE_MIN_RATIO},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
-        config.seed,
-        config.callers,
-        config.calls_per_caller,
-        config.transient_rate,
-        config.ack_lost_rate,
-        config.brownout_after_ops,
-        config.brownout_ops,
-        config.brownout_latency.as_micros(),
-        config.backoff_base.as_millis(),
-        policy_over_clean(reports),
-    )
+    section
 }
 
 /// The chaos seed: `KAR_CHAOS_SEED` (decimal or `0x`-hex) if set and
@@ -373,6 +372,7 @@ pub fn chaos_seed(default: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{gate_list, BenchReport, Bound};
 
     #[test]
     fn sweep_measures_all_arms_and_json_is_balanced() {
@@ -381,7 +381,7 @@ mod tests {
             calls_per_caller: 10,
             ..GrayFaultConfig::default()
         };
-        let reports = grayfault_sweep(&config);
+        let reports = ["clean", "policy", "naive"].map(|arm| measure_arm(arm, &config));
         assert_eq!(reports.len(), 3);
         let clean = &reports[0];
         let policy = &reports[1];
@@ -406,15 +406,26 @@ mod tests {
             policy.persisted_total >= policy.calls as i64 && policy.persisted_total <= 20,
             "exactly-once effects under injection: {policy:?}"
         );
-        assert!(policy_over_clean(&reports) > 0.0);
 
-        let json = to_json(&config, &reports);
-        assert!(json.contains("\"benchmark\": \"gray_faults\""));
-        assert!(json.contains("\"gate_min_ratio\": 0.8"));
+        // Every condition that fails the run, with the bounds this sweep
+        // measured them against.
+        let bounds = |arm: &str| {
+            let r = reports.iter().find(|r| r.arm == arm).expect("arm");
+            (r.calls as f64, (r.calls as u64 + r.caller_errors) as f64)
+        };
+        let mut expected = vec![
+            ("goodput_policy_over_clean".to_owned(), Bound::AtLeast(0.8)),
+            ("policy_caller_errors".to_owned(), Bound::AtMost(0.0)),
+        ];
+        for arm in ["clean", "policy", "naive"] {
+            let (low, high) = bounds(arm);
+            expected.push((format!("{arm}_persisted_total"), Bound::AtLeast(low)));
+            expected.push((format!("{arm}_persisted_total"), Bound::AtMost(high)));
+        }
+        let sections = vec![section(&config, &reports)];
+        assert_eq!(gate_list(&sections), expected);
+        let json = BenchReport::new("grayfault", true, sections).to_json();
         assert!(json.contains("\"arm\": \"naive\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!grayfault_row(clean).is_empty());
     }
 
     #[test]

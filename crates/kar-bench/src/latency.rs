@@ -196,7 +196,7 @@ pub fn measure_kar_actor(
 }
 
 /// Measures one full Table 2 row.
-pub fn measure_row(profile: DeploymentProfile, config: &LatencyConfig) -> LatencyRow {
+pub fn measure_profile(profile: DeploymentProfile, config: &LatencyConfig) -> LatencyRow {
     LatencyRow {
         profile,
         direct_http: measure_direct(profile, config),

@@ -10,57 +10,42 @@
 //!   Direct HTTP baseline, Kafka-only baseline, KAR actor invocation with and
 //!   without the placement cache, across the ClusterDev / ClusterProd /
 //!   Managed deployment profiles.
-//! * [`report`] — summary statistics (average, standard deviation, median,
-//!   min, max) and table formatting shared by the binaries.
-//! * [`throughput`] — the multi-actor messaging-throughput harness for the
-//!   sharded parallel dispatcher: throughput and p50/p99 latency as a
-//!   function of `dispatch_workers` (the `bench_messaging` binary emits
-//!   `BENCH_messaging.json` from it).
-//! * [`lock_granularity`] — the message-plane lock-granularity harness:
-//!   contended producers on per-partition broker locks (single and batched
-//!   appends) and a skewed-actor workload balanced by dispatch work
-//!   stealing (the `bench_lock_granularity` binary emits
-//!   `BENCH_lock_granularity.json`, and its `--smoke` mode runs in CI).
-//! * [`partitions`] — the partition-scaling harness: call throughput of one
-//!   component as its home-partition count grows from 1 to 8 under a
-//!   durable-ack-bound workload (the `bench_partitions` binary emits
-//!   `BENCH_partitions.json`, and its `--smoke` mode runs in CI).
-//! * [`store`] — the state-plane harness: contended mixed get/set/cas on
-//!   the sharded store (per-command and pipelined) and an actor state-flush
-//!   workload measuring store round trips per invocation through the
-//!   actor-state cache (the `bench_store` binary emits `BENCH_store.json`,
-//!   and its `--smoke` mode runs in CI).
-//! * [`topology`] — the topology-scaling harness for the event-driven
-//!   invocation core: call throughput and resident reactor-thread count as
-//!   the mesh grows from a 1× to a 100× topology under a fixed reactor pool
-//!   (the `bench_topology` binary emits `BENCH_topology.json`, and its
-//!   `--smoke` mode is the CI regression gate for the fixed-pool invariant).
-//! * [`delivery`] — the delivery-plane harness: end-to-end call
-//!   throughput/latency percentiles with per-destination response batching
-//!   off vs on, and consumer wakeup latency under the old rotating park vs
-//!   the shared wait group (the `bench_delivery` binary emits
-//!   `BENCH_delivery.json`, and its `--smoke` mode runs in CI).
-//! * [`retry`] — the retry-orchestration harness: healthy-path goodput next
-//!   to a ~30%-failing neighbor, naive immediate re-calls vs exponential
-//!   backoff under the mesh retry budget (the `bench_retry` binary emits
-//!   `BENCH_retry.json`, and its `--smoke` mode is the CI gate that the
-//!   retry lane never starves healthy traffic).
-//! * [`grayfault`] — the gray-failure harness: goodput of a stateful
-//!   workload under a seeded ~1% fault plan (transient errors, dropped
-//!   acks, a store brownout) with an exponential-backoff policy vs naive
-//!   immediate re-calls vs the fault-free baseline (the `bench_grayfault`
-//!   binary emits `BENCH_grayfault.json`, and its `--smoke` mode is the CI
-//!   gate that the hardened mesh holds goodput under gray failures).
-//! * [`passivation`] — the resident-set harness: hot-head goodput over a
-//!   Zipf-distributed actor population far larger than memory should hold
-//!   (≥ 1 M distinct keys in the full run), with the resident set unbounded
-//!   vs bounded by the passivation watermarks (the `bench_passivation`
-//!   binary emits `BENCH_passivation.json`, and its `--smoke` mode is the
-//!   CI gate that bounding the resident set never starves the hot head).
+//! * [`report`] — summary statistics for the paper-figure binaries, and
+//!   the one report of the `bench_*` binaries: `BenchReport`
+//!   (host `nproc`, mode, sections of workload, typed rows, values and
+//!   gates) and [`report::run_bench`], their shared command line.
+//! * [`throughput`] — the closed-loop call driver the call-path harnesses
+//!   share, and dispatch throughput as a function of `dispatch_workers` (a
+//!   tier-1 test gates the scaling).
+//! * [`sim`] — the deterministic-simulation scenarios of the `sim_explore`
+//!   binary and the repository benchmark's `sim_sweep` workload.
 //!
-//! Each table/figure has a dedicated binary (see `bin/`) and a Criterion
-//! bench (see `benches/`); the binaries print the same rows the paper
-//! reports, plus the paper's numbers for comparison.
+//! Each module below backs one `bench_<name>` binary (see `bin/`): no
+//! argument runs the full workload into `BENCH_<name>.json`, one path
+//! argument writes there instead, and `--smoke` runs a seconds-scale
+//! workload into `target/bench-smoke/BENCH_<name>.json` (the CI gate).
+//!
+//! * [`lock_granularity`] — contended producers on per-partition broker
+//!   locks, and skewed actors balanced by dispatch work stealing.
+//! * [`partitions`] — call throughput of one component over its
+//!   home-partition count under a durable-ack-bound workload.
+//! * [`store`] — contended mixed commands on the sharded store (per-command
+//!   and pipelined), and store round trips per actor invocation.
+//! * [`topology`] — call throughput and resident reactor threads from a 1×
+//!   to a 100× topology under a fixed reactor pool.
+//! * [`delivery`] — call throughput with response batching off vs on, and
+//!   consumer wakeup latency under the old rotating park vs the wait group.
+//! * [`retry`] — healthy goodput next to a ~30%-failing neighbor, naive
+//!   re-calls vs exponential backoff under the mesh retry budget.
+//! * [`grayfault`] — goodput under a seeded ~1% gray-failure plan with an
+//!   exponential-backoff policy vs naive re-calls vs fault-free.
+//! * [`passivation`] — hot-head goodput over a Zipf population far larger
+//!   than memory, resident set unbounded vs bounded by the watermarks.
+//!
+//! The paper's tables and figures have binaries of their own
+//! (`table1_failures`, `table2_latency`, `fig7a_phases`,
+//! `fig7b_order_latency`, `paired_failures`, `total_failure`) and Criterion
+//! benches (see `benches/`); they print the paper's numbers alongside.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,17 +63,3 @@ pub mod sim;
 pub mod store;
 pub mod throughput;
 pub mod topology;
-
-pub use delivery::{DeliveryConfig, DeliveryReport, WakeupConfig, WakeupReport};
-pub use fault::{FailureSample, FaultConfig, FaultReport};
-pub use grayfault::{GrayFaultConfig, GrayFaultReport};
-pub use latency::{LatencyConfig, LatencyRow};
-pub use lock_granularity::{ContendedConfig, ContendedReport, SkewedConfig, SkewedReport};
-pub use partitions::{PartitionReport, PartitionSweepConfig};
-pub use passivation::{PassivationBenchConfig, PassivationBenchReport};
-pub use report::Summary;
-pub use retry::{RetryBenchConfig, RetryBenchReport};
-pub use sim::{run_scenario, SimOutcome, SCENARIOS};
-pub use store::{ContendedStoreConfig, ContendedStoreReport, StateFlushConfig, StateFlushReport};
-pub use throughput::{ThroughputConfig, ThroughputReport};
-pub use topology::{TopologyReport, TopologyScale, TopologyScaleConfig};

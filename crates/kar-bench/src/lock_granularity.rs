@@ -24,9 +24,12 @@
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
-use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
+use kar::{Mesh, MeshConfig};
 use kar_queue::{Broker, BrokerConfig};
-use kar_types::{ActorRef, ComponentId, KarResult, Value};
+use kar_types::{ActorRef, ComponentId, Value};
+
+use crate::report::{as_ms, as_us, sized, Bound, Gate, Section};
+use crate::throughput::Sleeper;
 
 // ---------------------------------------------------------------------
 // Contended producers
@@ -128,14 +131,6 @@ pub fn measure_contended(batched: bool, config: &ContendedConfig) -> ContendedRe
     }
 }
 
-/// Runs both contended-producer rows: single-record appends, then batches.
-pub fn contended_sweep(config: &ContendedConfig) -> Vec<ContendedReport> {
-    vec![
-        measure_contended(false, config),
-        measure_contended(true, config),
-    ]
-}
-
 // ---------------------------------------------------------------------
 // Skewed actors
 // ---------------------------------------------------------------------
@@ -206,31 +201,6 @@ pub struct SkewedReport {
     pub placement_hits: u64,
     /// Placement cache misses observed by the driving client.
     pub placement_misses: u64,
-}
-
-/// The actor: sleeps for the configured service time per invocation.
-struct Sleeper;
-
-impl Actor for Sleeper {
-    fn invoke(
-        &mut self,
-        _ctx: &mut ActorContext<'_>,
-        method: &str,
-        args: &[Value],
-    ) -> KarResult<Outcome> {
-        match method {
-            "work" => {
-                let service = Duration::from_micros(args[0].as_i64().unwrap_or(0) as u64);
-                if !service.is_zero() {
-                    std::thread::sleep(service);
-                }
-                Ok(Outcome::value(Value::Null))
-            }
-            other => Err(kar_types::KarError::application(format!(
-                "no method {other}"
-            ))),
-        }
-    }
 }
 
 /// The dispatcher's static shard of an actor: the same stable hash of the
@@ -336,102 +306,83 @@ pub fn measure_skewed(config: &SkewedConfig) -> SkewedReport {
     }
 }
 
-/// Whether the skewed workload balanced: at least one steal, and the
-/// hottest shard below [`MAX_SKEWED_LOAD_RATIO`] times the mean.
-pub fn skewed_balanced(report: &SkewedReport) -> bool {
-    report.steals > 0 && report.max_over_mean < MAX_SKEWED_LOAD_RATIO
-}
-
 // ---------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------
 
-/// One human-readable contended-producer table row.
-pub fn contended_row(report: &ContendedReport) -> String {
-    format!(
-        "{:>8} {:>9} {:>12.1} {:>14.0}",
-        if report.batched { "batch" } else { "single" },
-        report.records,
-        report.elapsed.as_secs_f64() * 1e3,
-        report.records_per_sec,
-    )
+/// The `bench_lock_granularity` report: both workloads at the smoke or full
+/// size.
+pub fn bench(smoke: bool) -> Vec<Section> {
+    let contended = sized(smoke, ContendedConfig::smoke);
+    let skewed = sized(smoke, SkewedConfig::smoke);
+    let appends = [false, true].map(|batched| measure_contended(batched, &contended));
+    let skewed_report = measure_skewed(&skewed);
+    vec![
+        contended_section(&contended, &appends),
+        skewed_section(&skewed, &skewed_report),
+    ]
 }
 
-/// One human-readable skewed-actor table row.
-pub fn skewed_row(report: &SkewedReport) -> String {
-    format!(
-        "{:>8} {:>12.1} {:>12.0} {:>13.2} {:>7} {:>7} {:>8}",
-        report.total_calls,
-        report.elapsed.as_secs_f64() * 1e3,
-        report.throughput,
+/// The contended-producer rows.
+fn contended_section(config: &ContendedConfig, reports: &[ContendedReport]) -> Section {
+    Section::new(
+        "contended_producer",
+        vec![
+            ("producers", config.producers.into()),
+            ("records_per_producer", config.records_per_producer.into()),
+            ("batch_size", config.batch_size.into()),
+            ("ack_latency_us", as_us(config.ack_latency).into()),
+        ],
+    )
+    .rows(reports.iter().map(|r| {
+        vec![
+            ("batched", r.batched.into()),
+            ("records", r.records.into()),
+            ("elapsed_ms", as_ms(r.elapsed).into()),
+            ("records_per_sec", r.records_per_sec.into()),
+        ]
+    }))
+}
+
+/// The skewed-actor row, gated on balance: at least one steal, and the
+/// hottest shard below [`MAX_SKEWED_LOAD_RATIO`] times the mean.
+fn skewed_section(config: &SkewedConfig, report: &SkewedReport) -> Section {
+    Section::new(
+        "skewed_actors",
+        vec![
+            ("workers", config.workers.into()),
+            ("hot_shards", config.hot_shards.into()),
+            ("actors", config.actors.into()),
+            ("calls_per_actor", config.calls_per_actor.into()),
+            ("service_time_us", as_us(config.service_time).into()),
+        ],
+    )
+    .rows([vec![
+        ("total_calls", report.total_calls.into()),
+        ("elapsed_ms", as_ms(report.elapsed).into()),
+        ("calls_per_sec", report.throughput.into()),
+        ("shard_loads", report.shard_loads.clone().into()),
+        ("max_over_mean", report.max_over_mean.into()),
+        ("steals", report.steals.into()),
+        ("placement_hits", report.placement_hits.into()),
+        ("placement_misses", report.placement_misses.into()),
+    ]])
+    .gate(Gate::new(
+        "steals",
+        report.steals as f64,
+        Bound::AtLeast(1.0),
+    ))
+    .gate(Gate::new(
+        "max_over_mean",
         report.max_over_mean,
-        report.steals,
-        report.placement_hits,
-        report.placement_misses,
-    )
-}
-
-/// Serializes both workloads as the `BENCH_lock_granularity.json` document
-/// (hand-rolled: the offline serde shim has no serializer).
-pub fn to_json(
-    contended_config: &ContendedConfig,
-    contended: &[ContendedReport],
-    skewed_config: &SkewedConfig,
-    skewed: &SkewedReport,
-) -> String {
-    let mut contended_rows = String::new();
-    for (index, report) in contended.iter().enumerate() {
-        if index > 0 {
-            contended_rows.push_str(",\n");
-        }
-        contended_rows.push_str(&format!(
-            "      {{\"batched\": {}, \"records\": {}, \
-             \"elapsed_ms\": {:.3}, \"records_per_sec\": {:.1}}}",
-            report.batched,
-            report.records,
-            report.elapsed.as_secs_f64() * 1e3,
-            report.records_per_sec,
-        ));
-    }
-    let loads: Vec<String> = skewed.shard_loads.iter().map(u64::to_string).collect();
-    let skewed_row = format!(
-        "{{\"total_calls\": {}, \"elapsed_ms\": {:.3}, \
-         \"throughput_calls_per_sec\": {:.1}, \"shard_loads\": [{}], \
-         \"max_over_mean\": {:.3}, \"steals\": {}, \
-         \"placement_hits\": {}, \"placement_misses\": {}}}",
-        skewed.total_calls,
-        skewed.elapsed.as_secs_f64() * 1e3,
-        skewed.throughput,
-        loads.join(", "),
-        skewed.max_over_mean,
-        skewed.steals,
-        skewed.placement_hits,
-        skewed.placement_misses,
-    );
-    format!(
-        "{{\n  \"benchmark\": \"lock_granularity\",\n  \"contended_producer\": {{\n    \
-         \"workload\": {{\"producers\": {}, \"records_per_producer\": {}, \
-         \"batch_size\": {}, \"ack_latency_us\": {}}},\n    \
-         \"rows\": [\n{contended_rows}\n    ]\n  }},\n  \
-         \"skewed_actors\": {{\n    \
-         \"workload\": {{\"workers\": {}, \"hot_shards\": {}, \"actors\": {}, \
-         \"calls_per_actor\": {}, \"service_time_us\": {}}},\n    \
-         \"rows\": [\n      {skewed_row}\n    ]\n  }}\n}}\n",
-        contended_config.producers,
-        contended_config.records_per_producer,
-        contended_config.batch_size,
-        contended_config.ack_latency.as_micros(),
-        skewed_config.workers,
-        skewed_config.hot_shards,
-        skewed_config.actors,
-        skewed_config.calls_per_actor,
-        skewed_config.service_time.as_micros(),
-    )
+        Bound::Below(MAX_SKEWED_LOAD_RATIO),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{gate_list, BenchReport, Bound};
 
     #[test]
     fn skewed_names_land_on_hot_shards_only() {
@@ -452,7 +403,7 @@ mod tests {
             batch_size: 5,
             ack_latency: Duration::from_millis(1),
         };
-        let reports = contended_sweep(&config);
+        let reports = [false, true].map(|batched| measure_contended(batched, &config));
         assert_eq!(reports.len(), 2);
         for report in &reports {
             assert_eq!(report.records, 80);
@@ -486,15 +437,13 @@ mod tests {
 
     #[test]
     fn json_document_is_well_formed_enough() {
-        let contended_config = ContendedConfig::smoke();
-        let skewed_config = SkewedConfig::smoke();
         let contended = vec![ContendedReport {
             batched: false,
             records: 10,
             elapsed: Duration::from_millis(10),
             records_per_sec: 1000.0,
         }];
-        let skewed = SkewedReport {
+        let mut skewed = SkewedReport {
             total_calls: 10,
             elapsed: Duration::from_millis(10),
             throughput: 1000.0,
@@ -504,11 +453,27 @@ mod tests {
             placement_hits: 9,
             placement_misses: 1,
         };
-        let json = to_json(&contended_config, &contended, &skewed_config, &skewed);
-        assert!(json.contains("\"benchmark\": \"lock_granularity\""));
-        assert!(json.contains("\"contended_producer\""));
-        assert!(json.contains("\"skewed_actors\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let sections = vec![
+            contended_section(&ContendedConfig::smoke(), &contended),
+            skewed_section(&SkewedConfig::smoke(), &skewed),
+        ];
+        assert_eq!(
+            gate_list(&sections),
+            vec![
+                ("steals".to_owned(), Bound::AtLeast(1.0)),
+                (
+                    "max_over_mean".to_owned(),
+                    Bound::Below(MAX_SKEWED_LOAD_RATIO)
+                ),
+            ]
+        );
+        let report = BenchReport::new("lock_granularity", true, sections);
+        assert!(report.passed());
+        assert!(report.to_json().contains("\"shard_loads\": [5, 5]"));
+        // No steal, or a hottest shard at exactly the ratio, fails the run.
+        skewed.steals = 0;
+        assert!(!skewed_section(&SkewedConfig::smoke(), &skewed).gates[0].passed());
+        skewed.max_over_mean = MAX_SKEWED_LOAD_RATIO;
+        assert!(!skewed_section(&SkewedConfig::smoke(), &skewed).gates[1].passed());
     }
 }

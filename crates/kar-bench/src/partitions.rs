@@ -19,12 +19,13 @@
 //! workload in CI to catch partition-routing and consumer-fan-out
 //! regressions.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
-use kar_types::{ActorRef, KarResult, LatencyProfile, Value};
+use kar::{Mesh, MeshConfig};
+use kar_types::LatencyProfile;
 
-use crate::report::percentile;
+use crate::report::{as_us, ratio, sized, Section};
+use crate::throughput::{actors, closed_loop, CallStats, Echo};
 
 /// Configuration of one partition-scaling measurement.
 #[derive(Debug, Clone)]
@@ -68,39 +69,11 @@ impl PartitionSweepConfig {
 pub struct PartitionReport {
     /// Home partitions per component the mesh ran with.
     pub partitions: usize,
-    /// Total calls completed.
-    pub total_calls: usize,
-    /// Wall-clock duration of the measured phase.
-    pub elapsed: Duration,
-    /// Completed calls per second.
-    pub throughput: f64,
-    /// Median per-call latency.
-    pub p50: Duration,
-    /// 99th-percentile per-call latency.
-    pub p99: Duration,
+    /// The closed-loop run.
+    pub calls: CallStats,
     /// Server home partitions that actually received records — the sweep
     /// asserts the hash routing really spreads the workload.
     pub partitions_touched: usize,
-}
-
-/// A zero-service echo actor: the workload is pure message plane, so the
-/// partition count is the only variable.
-struct Echo;
-
-impl Actor for Echo {
-    fn invoke(
-        &mut self,
-        _ctx: &mut ActorContext<'_>,
-        method: &str,
-        _args: &[Value],
-    ) -> KarResult<Outcome> {
-        match method {
-            "ping" => Ok(Outcome::value(Value::Null)),
-            other => Err(kar_types::KarError::application(format!(
-                "no method {other}"
-            ))),
-        }
-    }
 }
 
 /// Measures call throughput with `partitions` home partitions per component.
@@ -120,38 +93,14 @@ pub fn measure_partitions(partitions: usize, config: &PartitionSweepConfig) -> P
     let mesh = Mesh::new(mesh_config);
     let node = mesh.add_node();
     let server = mesh.add_component(node, "echo-server", |c| c.host("Echo", || Box::new(Echo)));
-    let client = mesh.client();
-
-    // Warm up: place every actor outside the measured phase.
-    for actor in 0..config.actors {
-        client
-            .call(&ActorRef::new("Echo", format!("e{actor}")), "ping", vec![])
-            .expect("warmup call");
-    }
-
-    let started = Instant::now();
-    let drivers: Vec<_> = (0..config.actors)
-        .map(|actor| {
-            let client = client.clone();
-            let calls = config.calls_per_actor;
-            std::thread::spawn(move || {
-                let target = ActorRef::new("Echo", format!("e{actor}"));
-                let mut latencies = Vec::with_capacity(calls);
-                for _ in 0..calls {
-                    let t0 = Instant::now();
-                    client.call(&target, "ping", vec![]).expect("ping call");
-                    latencies.push(t0.elapsed());
-                }
-                latencies
-            })
-        })
-        .collect();
-    let mut latencies: Vec<Duration> = Vec::with_capacity(config.actors * config.calls_per_actor);
-    for driver in drivers {
-        latencies.extend(driver.join().expect("driver thread"));
-    }
-    let elapsed = started.elapsed();
-
+    let targets = actors("Echo", "e", config.actors);
+    let calls = closed_loop(
+        &mesh.client(),
+        &targets,
+        config.calls_per_actor,
+        "ping",
+        &[],
+    );
     let touched = mesh.snapshot().component(server).map_or(0, |c| {
         let home = c.partitions.home();
         c.queues
@@ -161,15 +110,9 @@ pub fn measure_partitions(partitions: usize, config: &PartitionSweepConfig) -> P
     });
     mesh.shutdown();
 
-    latencies.sort();
-    let total_calls = latencies.len();
     PartitionReport {
         partitions,
-        total_calls,
-        elapsed,
-        throughput: total_calls as f64 / elapsed.as_secs_f64(),
-        p50: percentile(&latencies, 50.0),
-        p99: percentile(&latencies, 99.0),
+        calls,
         partitions_touched: touched,
     }
 }
@@ -183,70 +126,44 @@ pub fn sweep(config: &PartitionSweepConfig) -> Vec<PartitionReport> {
         .collect()
 }
 
-/// Throughput ratio of the 4-partition point over the 1-partition point
-/// (0.0 if either is missing).
-pub fn four_over_one(reports: &[PartitionReport]) -> f64 {
-    let at = |count: usize| {
-        reports
-            .iter()
-            .find(|r| r.partitions == count)
-            .map(|r| r.throughput)
-    };
-    match (at(1), at(4)) {
-        (Some(one), Some(four)) if one > 0.0 => four / one,
-        _ => 0.0,
-    }
+/// The `bench_partitions` report: the sweep at the smoke or full size.
+pub fn bench(smoke: bool) -> Vec<Section> {
+    let config = sized(smoke, PartitionSweepConfig::smoke);
+    vec![section(&config, &sweep(&config))]
 }
 
-/// Serializes reports as the `BENCH_partitions.json` document (hand-rolled:
-/// the offline serde shim has no serializer).
-pub fn to_json(config: &PartitionSweepConfig, reports: &[PartitionReport]) -> String {
-    let mut rows = String::new();
-    for (index, report) in reports.iter().enumerate() {
-        if index > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"partitions\": {}, \"total_calls\": {}, \"elapsed_ms\": {:.3}, \
-             \"throughput_calls_per_sec\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"partitions_touched\": {}}}",
-            report.partitions,
-            report.total_calls,
-            report.elapsed.as_secs_f64() * 1e3,
-            report.throughput,
-            report.p50.as_secs_f64() * 1e6,
-            report.p99.as_secs_f64() * 1e6,
-            report.partitions_touched,
-        ));
-    }
-    format!(
-        "{{\n  \"benchmark\": \"partition_scaling\",\n  \
-         \"workload\": {{\"actors\": {}, \"calls_per_actor\": {}, \
-         \"append_latency_us\": {}}},\n  \
-         \"speedup_4_over_1\": {:.2},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
-        config.actors,
-        config.calls_per_actor,
-        config.append_latency.as_micros(),
-        four_over_one(reports),
+/// The sweep rows and the 4-over-1 speedup (reported, not gated; the unit
+/// test `four_partitions_beat_one_on_the_ack_bound_workload` holds it).
+fn section(config: &PartitionSweepConfig, reports: &[PartitionReport]) -> Section {
+    Section::new(
+        "partition_scaling",
+        vec![
+            ("actors", config.actors.into()),
+            ("calls_per_actor", config.calls_per_actor.into()),
+            ("append_latency_us", as_us(config.append_latency).into()),
+        ],
     )
-}
-
-/// One human-readable table row.
-pub fn table_row(report: &PartitionReport) -> String {
-    format!(
-        "{:>10} {:>8} {:>12.0} {:>10.2} {:>10.2} {:>9}",
-        report.partitions,
-        report.total_calls,
-        report.throughput,
-        report.p50.as_secs_f64() * 1e3,
-        report.p99.as_secs_f64() * 1e3,
-        report.partitions_touched,
+    .rows(reports.iter().map(|r| {
+        let mut row = vec![("partitions", r.partitions.into())];
+        row.extend(r.calls.cells());
+        row.push(("partitions_touched", r.partitions_touched.into()));
+        row
+    }))
+    .value(
+        "speedup_4_over_1",
+        ratio(
+            reports.iter().map(|r| (r.partitions, r.calls.throughput)),
+            4,
+            1,
+        ),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{BenchReport, Cell};
+    use crate::throughput::stats_at;
 
     fn small() -> PartitionSweepConfig {
         PartitionSweepConfig {
@@ -269,43 +186,26 @@ mod tests {
             four.partitions_touched
         );
         assert!(
-            four.throughput >= 1.3 * one.throughput,
+            four.calls.throughput >= 1.3 * one.calls.throughput,
             "expected >= 1.3x speedup at 4 partitions: 1p {:.0}/s, 4p {:.0}/s",
-            one.throughput,
-            four.throughput
+            one.calls.throughput,
+            four.calls.throughput
         );
     }
 
     #[test]
     fn report_fields_and_json_are_consistent() {
-        let reports = vec![
-            PartitionReport {
-                partitions: 1,
-                total_calls: 10,
-                elapsed: Duration::from_millis(100),
-                throughput: 100.0,
-                p50: Duration::from_micros(700),
-                p99: Duration::from_micros(950),
-                partitions_touched: 1,
-            },
-            PartitionReport {
-                partitions: 4,
-                total_calls: 10,
-                elapsed: Duration::from_millis(40),
-                throughput: 250.0,
-                p50: Duration::from_micros(400),
-                p99: Duration::from_micros(800),
-                partitions_touched: 4,
-            },
-        ];
-        assert!((four_over_one(&reports) - 2.5).abs() < 1e-9);
-        let json = to_json(&small(), &reports);
-        assert!(json.contains("\"benchmark\": \"partition_scaling\""));
-        assert!(json.contains("\"partitions\": 1"));
+        let report = |partitions, throughput| PartitionReport {
+            partitions,
+            calls: stats_at(throughput),
+            partitions_touched: partitions,
+        };
+        let reports = vec![report(1, 100.0), report(4, 250.0)];
+        let section = section(&PartitionSweepConfig::smoke(), &reports);
+        assert!(section.gates.is_empty(), "bench_partitions gates nothing");
+        assert_eq!(section.values, vec![("speedup_4_over_1", Cell::Num(2.5))]);
+        let json = BenchReport::new("partitions", true, vec![section]).to_json();
         assert!(json.contains("\"partitions\": 4"));
-        assert!(json.contains("\"speedup_4_over_1\": 2.50"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(four_over_one(&[]), 0.0);
+        assert!(json.contains("\"speedup_4_over_1\": 2.5"));
     }
 }

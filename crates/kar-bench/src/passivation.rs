@@ -28,6 +28,8 @@ use kar_types::{ActorRef, KarResult, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::report::{as_ms, ratio, sized, Bound, Gate, Section};
+
 /// Hot-head goodput with the watermarks must stay within this factor of
 /// the unbounded arm.
 pub const GATE_MIN_RATIO: f64 = 0.8;
@@ -269,86 +271,71 @@ pub fn measure_arm(bounded: bool, config: &PassivationBenchConfig) -> Passivatio
     }
 }
 
-/// Runs the unbounded-then-bounded sweep.
-pub fn passivation_sweep(config: &PassivationBenchConfig) -> Vec<PassivationBenchReport> {
-    vec![measure_arm(false, config), measure_arm(true, config)]
+/// The `bench_passivation` report: the sweep at the smoke or full size.
+pub fn bench(smoke: bool) -> Vec<Section> {
+    let config = sized(smoke, PassivationBenchConfig::smoke);
+    let reports = [false, true].map(|bounded| measure_arm(bounded, &config));
+    vec![section(&config, &reports)]
 }
 
-/// Hot-goodput ratio of the bounded arm over the unbounded arm (0.0 if
-/// either is missing).
-pub fn bounded_over_unbounded(reports: &[PassivationBenchReport]) -> f64 {
-    let at = |arm: &str| reports.iter().find(|r| r.arm == arm).map(|r| r.hot_goodput);
-    match (at("unbounded"), at("bounded")) {
-        (Some(unbounded), Some(bounded)) if unbounded > 0.0 => bounded / unbounded,
-        _ => 0.0,
-    }
-}
-
-/// One human-readable table row.
-pub fn passivation_row(report: &PassivationBenchReport) -> String {
-    format!(
-        "{:>9} {:>9} {:>12.0} {:>9} {:>9} {:>8} {:>8} {:>10} {:>11} {:>9}",
-        report.arm,
-        report.hot_calls,
-        report.hot_goodput,
-        report.tail_calls,
-        report.distinct_tail_keys,
-        report.peak_resident,
-        report.final_resident,
-        report.passivations,
-        report.rehydrations,
-        report.admission_deferrals,
+/// The sweep rows, gated on hot-head goodput of the bounded arm over the
+/// unbounded one and on the bounded arm's peak resident set staying at the
+/// hard watermark.
+fn section(config: &PassivationBenchConfig, reports: &[PassivationBenchReport]) -> Section {
+    // Admission races can overshoot the hard watermark by a handful of
+    // concurrent activations, never by a multiple of it.
+    let ceiling = config.resident_budget * 2 + config.tail_callers + config.hot_callers;
+    let bounded_peak = reports
+        .iter()
+        .find(|r| r.arm == "bounded")
+        .map_or(f64::NAN, |r| r.peak_resident as f64);
+    Section::new(
+        "resident_set",
+        vec![
+            ("hot_callers", config.hot_callers.into()),
+            ("calls_per_caller", config.calls_per_caller.into()),
+            ("hot_keys", config.hot_keys.into()),
+            ("tail_callers", config.tail_callers.into()),
+            ("key_space", config.key_space.into()),
+            ("resident_budget", config.resident_budget.into()),
+            ("window_ms", as_ms(config.window).into()),
+        ],
     )
-}
-
-/// Serializes the sweep as the `BENCH_passivation.json` document
-/// (hand-rolled: the offline serde shim has no serializer).
-pub fn to_json(config: &PassivationBenchConfig, reports: &[PassivationBenchReport]) -> String {
-    let mut rows = String::new();
-    for (index, report) in reports.iter().enumerate() {
-        if index > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"hot_calls\": {}, \"elapsed_ms\": {:.3}, \
-             \"hot_goodput_calls_per_sec\": {:.1}, \"tail_calls\": {}, \
-             \"distinct_tail_keys\": {}, \"peak_resident\": {}, \
-             \"final_resident\": {}, \"passivations\": {}, \
-             \"rehydrations\": {}, \"admission_deferrals\": {}}}",
-            report.arm,
-            report.hot_calls,
-            report.elapsed.as_secs_f64() * 1e3,
-            report.hot_goodput,
-            report.tail_calls,
-            report.distinct_tail_keys,
-            report.peak_resident,
-            report.final_resident,
-            report.passivations,
-            report.rehydrations,
-            report.admission_deferrals,
-        ));
-    }
-    format!(
-        "{{\n  \"benchmark\": \"passivation\",\n  \
-         \"workload\": {{\"hot_callers\": {}, \"calls_per_caller\": {}, \
-         \"hot_keys\": {}, \"tail_callers\": {}, \"key_space\": {}, \
-         \"resident_budget\": {}, \"window_ms\": {}}},\n  \
-         \"hot_goodput_bounded_over_unbounded\": {:.2},\n  \
-         \"gate_min_ratio\": {GATE_MIN_RATIO},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
-        config.hot_callers,
-        config.calls_per_caller,
-        config.hot_keys,
-        config.tail_callers,
-        config.key_space,
-        config.resident_budget,
-        config.window.as_millis(),
-        bounded_over_unbounded(reports),
-    )
+    .rows(reports.iter().map(|r| {
+        vec![
+            ("arm", r.arm.into()),
+            ("hot_calls", r.hot_calls.into()),
+            ("elapsed_ms", as_ms(r.elapsed).into()),
+            ("hot_goodput_per_sec", r.hot_goodput.into()),
+            ("tail_calls", r.tail_calls.into()),
+            ("distinct_tail_keys", r.distinct_tail_keys.into()),
+            ("peak_resident", r.peak_resident.into()),
+            ("final_resident", r.final_resident.into()),
+            ("passivations", r.passivations.into()),
+            ("rehydrations", r.rehydrations.into()),
+            ("admission_deferrals", r.admission_deferrals.into()),
+        ]
+    }))
+    .gate(Gate::new(
+        "hot_goodput_bounded_over_unbounded",
+        ratio(
+            reports.iter().map(|r| (r.arm, r.hot_goodput)),
+            "bounded",
+            "unbounded",
+        ),
+        Bound::AtLeast(GATE_MIN_RATIO),
+    ))
+    .gate(Gate::new(
+        "bounded_peak_resident",
+        bounded_peak,
+        Bound::AtMost(ceiling as f64),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{gate_list, BenchReport, Bound};
 
     #[test]
     fn zipf_rank_is_head_heavy_and_in_range() {
@@ -380,7 +367,7 @@ mod tests {
             resident_budget: 8,
             ..PassivationBenchConfig::default()
         };
-        let reports = passivation_sweep(&config);
+        let reports = [false, true].map(|bounded| measure_arm(bounded, &config));
         assert_eq!(reports.len(), 2);
         let unbounded = &reports[0];
         let bounded = &reports[1];
@@ -398,14 +385,20 @@ mod tests {
             bounded.peak_resident,
             config.resident_budget
         );
-        assert!(bounded_over_unbounded(&reports) > 0.0);
 
-        let json = to_json(&config, &reports);
-        assert!(json.contains("\"benchmark\": \"passivation\""));
-        assert!(json.contains("\"gate_min_ratio\": 0.8"));
+        // The smoke run's gates: 64 × 2 hard watermark + 8 racing callers.
+        let sections = vec![section(&PassivationBenchConfig::smoke(), &reports)];
+        assert_eq!(
+            gate_list(&sections),
+            vec![
+                (
+                    "hot_goodput_bounded_over_unbounded".to_owned(),
+                    Bound::AtLeast(0.8)
+                ),
+                ("bounded_peak_resident".to_owned(), Bound::AtMost(136.0)),
+            ]
+        );
+        let json = BenchReport::new("passivation", true, sections).to_json();
         assert!(json.contains("\"arm\": \"bounded\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!passivation_row(&reports[0]).is_empty());
     }
 }

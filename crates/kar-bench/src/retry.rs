@@ -22,6 +22,9 @@ use std::time::{Duration, Instant};
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome, RetryPolicy};
 use kar_types::{ActorRef, KarResult, Value};
 
+use crate::report::{as_ms, ratio, sized, Bound, Gate, Section};
+use crate::throughput::Echo;
+
 /// Healthy goodput with the policy must stay within this factor of the
 /// naive-retry arm.
 pub const GATE_MIN_RATIO: f64 = 0.8;
@@ -94,20 +97,6 @@ pub struct RetryBenchReport {
     pub retries_shed: u64,
     /// Invocations that exhausted their schedule into the DLQ.
     pub dead_lettered: u64,
-}
-
-/// The healthy population: a zero-service echo.
-struct Echo;
-
-impl Actor for Echo {
-    fn invoke(
-        &mut self,
-        _ctx: &mut ActorContext<'_>,
-        _method: &str,
-        _args: &[Value],
-    ) -> KarResult<Outcome> {
-        Ok(Outcome::value(Value::Null))
-    }
 }
 
 /// The failing neighbor: deterministically fails `failure_percent` of first
@@ -253,81 +242,52 @@ pub fn measure_arm(policy: bool, config: &RetryBenchConfig) -> RetryBenchReport 
     }
 }
 
-/// Runs the naive-then-policy sweep.
-pub fn retry_sweep(config: &RetryBenchConfig) -> Vec<RetryBenchReport> {
-    vec![measure_arm(false, config), measure_arm(true, config)]
+/// The `bench_retry` report: the sweep at the smoke or full size.
+pub fn bench(smoke: bool) -> Vec<Section> {
+    let config = sized(smoke, RetryBenchConfig::smoke);
+    let reports = [false, true].map(|policy| measure_arm(policy, &config));
+    vec![section(&config, &reports)]
 }
 
-/// Healthy-goodput ratio of the policy arm over the naive arm (0.0 if
-/// either is missing).
-pub fn policy_over_none(reports: &[RetryBenchReport]) -> f64 {
-    let at = |arm: &str| reports.iter().find(|r| r.arm == arm).map(|r| r.goodput);
-    match (at("none"), at("policy")) {
-        (Some(none), Some(policy)) if none > 0.0 => policy / none,
-        _ => 0.0,
-    }
-}
-
-/// One human-readable table row.
-pub fn retry_row(report: &RetryBenchReport) -> String {
-    format!(
-        "{:>7} {:>9} {:>12.0} {:>9} {:>9} {:>10} {:>6} {:>5}",
-        report.arm,
-        report.healthy_calls,
-        report.goodput,
-        report.failing_calls,
-        report.failures_injected,
-        report.retries_scheduled,
-        report.retries_shed,
-        report.dead_lettered,
+/// The sweep rows, gated on healthy goodput of the policy arm over the
+/// naive arm.
+fn section(config: &RetryBenchConfig, reports: &[RetryBenchReport]) -> Section {
+    Section::new(
+        "retry_orchestration",
+        vec![
+            ("healthy_callers", config.healthy_callers.into()),
+            ("calls_per_caller", config.calls_per_caller.into()),
+            ("failing_callers", config.failing_callers.into()),
+            ("failure_percent", config.failure_percent.into()),
+            ("backoff_base_ms", as_ms(config.backoff_base).into()),
+            ("budget_rate", config.budget_rate.into()),
+            ("budget_burst", config.budget_burst.into()),
+        ],
     )
-}
-
-/// Serializes the sweep as the `BENCH_retry.json` document (hand-rolled:
-/// the offline serde shim has no serializer).
-pub fn to_json(config: &RetryBenchConfig, reports: &[RetryBenchReport]) -> String {
-    let mut rows = String::new();
-    for (index, report) in reports.iter().enumerate() {
-        if index > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"healthy_calls\": {}, \"elapsed_ms\": {:.3}, \
-             \"goodput_calls_per_sec\": {:.1}, \"failing_calls\": {}, \
-             \"failures_injected\": {}, \"retries_scheduled\": {}, \
-             \"retries_shed\": {}, \"dead_lettered\": {}}}",
-            report.arm,
-            report.healthy_calls,
-            report.elapsed.as_secs_f64() * 1e3,
-            report.goodput,
-            report.failing_calls,
-            report.failures_injected,
-            report.retries_scheduled,
-            report.retries_shed,
-            report.dead_lettered,
-        ));
-    }
-    format!(
-        "{{\n  \"benchmark\": \"retry_orchestration\",\n  \
-         \"workload\": {{\"healthy_callers\": {}, \"calls_per_caller\": {}, \
-         \"failing_callers\": {}, \"failure_percent\": {}, \
-         \"backoff_base_ms\": {}, \"budget_rate\": {:.1}, \"budget_burst\": {:.1}}},\n  \
-         \"goodput_policy_over_none\": {:.2},\n  \
-         \"gate_min_ratio\": {GATE_MIN_RATIO},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
-        config.healthy_callers,
-        config.calls_per_caller,
-        config.failing_callers,
-        config.failure_percent,
-        config.backoff_base.as_millis(),
-        config.budget_rate,
-        config.budget_burst,
-        policy_over_none(reports),
-    )
+    .rows(reports.iter().map(|r| {
+        vec![
+            ("arm", r.arm.into()),
+            ("healthy_calls", r.healthy_calls.into()),
+            ("elapsed_ms", as_ms(r.elapsed).into()),
+            ("goodput_per_sec", r.goodput.into()),
+            ("failing_calls", r.failing_calls.into()),
+            ("failures_injected", r.failures_injected.into()),
+            ("retries_scheduled", r.retries_scheduled.into()),
+            ("retries_shed", r.retries_shed.into()),
+            ("dead_lettered", r.dead_lettered.into()),
+        ]
+    }))
+    .gate(Gate::new(
+        "goodput_policy_over_none",
+        ratio(reports.iter().map(|r| (r.arm, r.goodput)), "policy", "none"),
+        Bound::AtLeast(GATE_MIN_RATIO),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{gate_list, BenchReport, Bound};
 
     #[test]
     fn sweep_measures_both_arms_and_json_is_balanced() {
@@ -337,7 +297,7 @@ mod tests {
             failing_callers: 2,
             ..RetryBenchConfig::default()
         };
-        let reports = retry_sweep(&config);
+        let reports = [false, true].map(|policy| measure_arm(policy, &config));
         assert_eq!(reports.len(), 2);
         let none = &reports[0];
         let policy = &reports[1];
@@ -353,14 +313,13 @@ mod tests {
             policy.retries_scheduled > 0 || policy.failures_injected == 0,
             "injected failures must flow through the retry lane: {policy:?}"
         );
-        assert!(policy_over_none(&reports) > 0.0);
 
-        let json = to_json(&config, &reports);
-        assert!(json.contains("\"benchmark\": \"retry_orchestration\""));
-        assert!(json.contains("\"gate_min_ratio\": 0.8"));
+        let sections = vec![section(&RetryBenchConfig::smoke(), &reports)];
+        assert_eq!(
+            gate_list(&sections),
+            vec![("goodput_policy_over_none".to_owned(), Bound::AtLeast(0.8))]
+        );
+        let json = BenchReport::new("retry", true, sections).to_json();
         assert!(json.contains("\"arm\": \"policy\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!retry_row(&reports[0]).is_empty());
     }
 }

@@ -23,6 +23,8 @@ use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
 use kar_store::{Store, StoreConfig};
 use kar_types::{ActorRef, ComponentId, KarResult, LatencyProfile, Value};
 
+use crate::report::{as_ms, as_us, sized, Section};
+
 // ---------------------------------------------------------------------
 // Contended mixed commands
 // ---------------------------------------------------------------------
@@ -158,14 +160,6 @@ pub fn measure_contended_store(
         round_trips: stats.round_trips,
         contended_locks: store.shard_contention().iter().sum(),
     }
-}
-
-/// Runs both rows: per-command, then pipelined.
-pub fn contended_store_sweep(config: &ContendedStoreConfig) -> Vec<ContendedStoreReport> {
-    vec![
-        measure_contended_store(false, config),
-        measure_contended_store(true, config),
-    ]
 }
 
 // ---------------------------------------------------------------------
@@ -314,95 +308,70 @@ pub fn measure_state_flush(config: &StateFlushConfig) -> StateFlushReport {
 // Reporting
 // ---------------------------------------------------------------------
 
-/// One human-readable contended-store table row.
-pub fn contended_store_row(report: &ContendedStoreReport) -> String {
-    format!(
-        "{:>9} {:>8} {:>12.1} {:>12.0} {:>12} {:>10}",
-        if report.pipelined {
-            "pipeline"
-        } else {
-            "command"
-        },
-        report.ops,
-        report.elapsed.as_secs_f64() * 1e3,
-        report.ops_per_sec,
-        report.round_trips,
-        report.contended_locks,
-    )
+/// The `bench_store` report: both workloads at the smoke or full size.
+pub fn bench(smoke: bool) -> Vec<Section> {
+    let contended = sized(smoke, ContendedStoreConfig::smoke);
+    let flush = sized(smoke, StateFlushConfig::smoke);
+    let commands = [false, true].map(|pipelined| measure_contended_store(pipelined, &contended));
+    let flushes = measure_state_flush(&flush);
+    vec![
+        contended_section(&contended, &commands),
+        state_flush_section(&flush, &flushes),
+    ]
 }
 
-/// One human-readable state-flush table row.
-pub fn state_flush_row(report: &StateFlushReport) -> String {
-    format!(
-        "{:>12} {:>12} {:>10.2} {:>12.1} {:>10.0}",
-        report.invocations,
-        report.round_trips,
-        report.round_trips_per_invocation,
-        report.elapsed.as_secs_f64() * 1e3,
-        report.calls_per_sec,
+/// The contended mixed-command rows.
+fn contended_section(config: &ContendedStoreConfig, reports: &[ContendedStoreReport]) -> Section {
+    Section::new(
+        "contended_mixed",
+        vec![
+            ("threads", config.threads.into()),
+            ("ops_per_thread", config.ops_per_thread.into()),
+            ("batch_size", config.batch_size.into()),
+            ("op_latency_us", as_us(config.op_latency).into()),
+            ("value_bytes", config.value_bytes.into()),
+            ("keys_per_thread", config.keys_per_thread.into()),
+        ],
     )
+    .rows(reports.iter().map(|r| {
+        vec![
+            ("pipelined", r.pipelined.into()),
+            ("ops", r.ops.into()),
+            ("elapsed_ms", as_ms(r.elapsed).into()),
+            ("ops_per_sec", r.ops_per_sec.into()),
+            ("round_trips", r.round_trips.into()),
+            ("contended_locks", r.contended_locks.into()),
+        ]
+    }))
 }
 
-/// Serializes both workloads as the `BENCH_store.json` document
-/// (hand-rolled: the offline serde shim has no serializer).
-pub fn to_json(
-    contended_config: &ContendedStoreConfig,
-    contended: &[ContendedStoreReport],
-    flush_config: &StateFlushConfig,
-    flush: &StateFlushReport,
-) -> String {
-    let mut contended_rows = String::new();
-    for (index, report) in contended.iter().enumerate() {
-        if index > 0 {
-            contended_rows.push_str(",\n");
-        }
-        contended_rows.push_str(&format!(
-            "      {{\"pipelined\": {}, \"ops\": {}, \
-             \"elapsed_ms\": {:.3}, \"ops_per_sec\": {:.1}, \
-             \"round_trips\": {}, \"contended_locks\": {}}}",
-            report.pipelined,
-            report.ops,
-            report.elapsed.as_secs_f64() * 1e3,
-            report.ops_per_sec,
-            report.round_trips,
-            report.contended_locks,
-        ));
-    }
-    let flush_row = format!(
-        "{{\"invocations\": {}, \"round_trips\": {}, \
-         \"round_trips_per_invocation\": {:.3}, \"elapsed_ms\": {:.3}, \
-         \"calls_per_sec\": {:.1}}}",
-        flush.invocations,
-        flush.round_trips,
-        flush.round_trips_per_invocation,
-        flush.elapsed.as_secs_f64() * 1e3,
-        flush.calls_per_sec,
-    );
-    format!(
-        "{{\n  \"benchmark\": \"store\",\n  \"contended_mixed\": {{\n    \
-         \"workload\": {{\"threads\": {}, \"ops_per_thread\": {}, \"batch_size\": {}, \
-         \"op_latency_us\": {}, \"value_bytes\": {}, \"keys_per_thread\": {}}},\n    \
-         \"rows\": [\n{contended_rows}\n    ]\n  }},\n  \
-         \"actor_state_flush\": {{\n    \
-         \"workload\": {{\"actors\": {}, \"calls_per_actor\": {}, \"fields_per_call\": {}, \
-         \"store_latency_us\": {}}},\n    \
-         \"rows\": [\n      {flush_row}\n    ]\n  }}\n}}\n",
-        contended_config.threads,
-        contended_config.ops_per_thread,
-        contended_config.batch_size,
-        contended_config.op_latency.as_micros(),
-        contended_config.value_bytes,
-        contended_config.keys_per_thread,
-        flush_config.actors,
-        flush_config.calls_per_actor,
-        flush_config.fields_per_call,
-        flush_config.store_latency.as_micros(),
+/// The actor state-flush row.
+fn state_flush_section(config: &StateFlushConfig, report: &StateFlushReport) -> Section {
+    Section::new(
+        "actor_state_flush",
+        vec![
+            ("actors", config.actors.into()),
+            ("calls_per_actor", config.calls_per_actor.into()),
+            ("fields_per_call", config.fields_per_call.into()),
+            ("store_latency_us", as_us(config.store_latency).into()),
+        ],
     )
+    .rows([vec![
+        ("invocations", report.invocations.into()),
+        ("round_trips", report.round_trips.into()),
+        (
+            "round_trips_per_invocation",
+            report.round_trips_per_invocation.into(),
+        ),
+        ("elapsed_ms", as_ms(report.elapsed).into()),
+        ("calls_per_sec", report.calls_per_sec.into()),
+    ]])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{gate_list, BenchReport};
 
     #[test]
     fn contended_smoke_runs_and_counts_round_trips() {
@@ -445,8 +414,6 @@ mod tests {
 
     #[test]
     fn json_document_is_well_formed_enough() {
-        let contended_config = ContendedStoreConfig::smoke();
-        let flush_config = StateFlushConfig::smoke();
         let contended = vec![ContendedStoreReport {
             pipelined: false,
             ops: 10,
@@ -462,11 +429,14 @@ mod tests {
             elapsed: Duration::from_millis(10),
             calls_per_sec: 1000.0,
         };
-        let json = to_json(&contended_config, &contended, &flush_config, &flush);
-        assert!(json.contains("\"benchmark\": \"store\""));
-        assert!(json.contains("\"contended_mixed\""));
-        assert!(json.contains("\"actor_state_flush\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let sections = vec![
+            contended_section(&ContendedStoreConfig::smoke(), &contended),
+            state_flush_section(&StateFlushConfig::smoke(), &flush),
+        ];
+        assert!(gate_list(&sections).is_empty(), "bench_store gates nothing");
+        let json = BenchReport::new("store", true, sections).to_json();
+        assert!(json.contains("\"contended_mixed\": {"));
+        assert!(json.contains("\"actor_state_flush\": {"));
+        assert!(json.contains("\"round_trips_per_invocation\": 1.2"));
     }
 }

@@ -15,16 +15,17 @@
 //! scale point and reports throughput, latency percentiles, the number of
 //! consumer lanes (which *does* grow with topology) and the number of
 //! resident `kar-reactor-` threads (which must not). The `bench_topology`
-//! binary emits `BENCH_topology.json`; its `--smoke` mode runs a
-//! seconds-scale workload in CI and fails the step if throughput at 100×
-//! drops below 0.8× the 1× baseline or the pool size drifts.
+//! binary emits `BENCH_topology.json` and, in both modes, exits 1 if
+//! throughput at 100× drops below 0.8× the 1× baseline or the pool size
+//! drifts; its `--smoke` mode runs a seconds-scale workload in CI.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
-use kar_types::{ActorRef, KarResult, LatencyProfile, Value};
+use kar::{Mesh, MeshConfig};
+use kar_types::LatencyProfile;
 
-use crate::report::percentile;
+use crate::report::{as_us, ratio, sized, Bound, Gate, Section};
+use crate::throughput::{actors, closed_loop, CallStats, Echo};
 
 /// One topology scale point: `components` hosting components, each with
 /// `partitions_per_component` home partitions.
@@ -36,13 +37,6 @@ pub struct TopologyScale {
     pub components: usize,
     /// Home partitions per component.
     pub partitions_per_component: usize,
-}
-
-impl TopologyScale {
-    /// Total home partitions of the scale point.
-    pub fn total_partitions(&self) -> usize {
-        self.components * self.partitions_per_component
-    }
 }
 
 /// Configuration of one topology-scaling measurement.
@@ -120,36 +114,8 @@ pub struct TopologyReport {
     pub resident_reactor_threads: usize,
     /// Reactor pool size the mesh reports.
     pub configured_reactor_threads: usize,
-    /// Total calls completed.
-    pub total_calls: usize,
-    /// Wall-clock duration of the measured phase.
-    pub elapsed: Duration,
-    /// Completed calls per second.
-    pub throughput: f64,
-    /// Median per-call latency.
-    pub p50: Duration,
-    /// 99th-percentile per-call latency.
-    pub p99: Duration,
-}
-
-/// A zero-service echo actor: the workload is pure message plane, so the
-/// topology is the only variable.
-struct Echo;
-
-impl Actor for Echo {
-    fn invoke(
-        &mut self,
-        _ctx: &mut ActorContext<'_>,
-        method: &str,
-        _args: &[Value],
-    ) -> KarResult<Outcome> {
-        match method {
-            "ping" => Ok(Outcome::value(Value::Null)),
-            other => Err(kar_types::KarError::application(format!(
-                "no method {other}"
-            ))),
-        }
-    }
+    /// The closed-loop run.
+    pub calls: CallStats,
 }
 
 /// Counts live OS threads of this process whose name starts with `prefix`
@@ -184,37 +150,14 @@ pub fn measure_topology(scale: &TopologyScale, config: &TopologyScaleConfig) -> 
             c.host("Echo", || Box::new(Echo))
         });
     }
-    let client = mesh.client();
-
-    // Warm up: place every actor outside the measured phase.
-    for actor in 0..config.actors {
-        client
-            .call(&ActorRef::new("Echo", format!("e{actor}")), "ping", vec![])
-            .expect("warmup call");
-    }
-
-    let started = Instant::now();
-    let drivers: Vec<_> = (0..config.actors)
-        .map(|actor| {
-            let client = client.clone();
-            let calls = config.calls_per_actor;
-            std::thread::spawn(move || {
-                let target = ActorRef::new("Echo", format!("e{actor}"));
-                let mut latencies = Vec::with_capacity(calls);
-                for _ in 0..calls {
-                    let t0 = Instant::now();
-                    client.call(&target, "ping", vec![]).expect("ping call");
-                    latencies.push(t0.elapsed());
-                }
-                latencies
-            })
-        })
-        .collect();
-    let mut latencies: Vec<Duration> = Vec::with_capacity(config.actors * config.calls_per_actor);
-    for driver in drivers {
-        latencies.extend(driver.join().expect("driver thread"));
-    }
-    let elapsed = started.elapsed();
+    let targets = actors("Echo", "e", config.actors);
+    let calls = closed_loop(
+        &mesh.client(),
+        &targets,
+        config.calls_per_actor,
+        "ping",
+        &[],
+    );
 
     let snapshot = mesh.snapshot();
     let configured = snapshot.reactor_threads;
@@ -227,8 +170,6 @@ pub fn measure_topology(scale: &TopologyScale, config: &TopologyScaleConfig) -> 
         .sum();
     mesh.shutdown();
 
-    latencies.sort();
-    let total_calls = latencies.len();
     TopologyReport {
         label: scale.label.clone(),
         components: scale.components,
@@ -236,11 +177,7 @@ pub fn measure_topology(scale: &TopologyScale, config: &TopologyScaleConfig) -> 
         lanes,
         resident_reactor_threads: resident,
         configured_reactor_threads: configured,
-        total_calls,
-        elapsed,
-        throughput: total_calls as f64 / elapsed.as_secs_f64(),
-        p50: percentile(&latencies, 50.0),
-        p99: percentile(&latencies, 99.0),
+        calls,
     }
 }
 
@@ -253,21 +190,6 @@ pub fn sweep(config: &TopologyScaleConfig) -> Vec<TopologyReport> {
         .collect()
 }
 
-/// Throughput ratio of the `"100x"` point over the `"1x"` point (0.0 if
-/// either is missing).
-pub fn hundred_over_one(reports: &[TopologyReport]) -> f64 {
-    let at = |label: &str| {
-        reports
-            .iter()
-            .find(|r| r.label == label)
-            .map(|r| r.throughput)
-    };
-    match (at("1x"), at("100x")) {
-        (Some(one), Some(hundred)) if one > 0.0 => hundred / one,
-        _ => 0.0,
-    }
-}
-
 /// True when every scale point ran with exactly the configured reactor pool
 /// resident — the tentpole's thread invariant.
 pub fn pool_held(config: &TopologyScaleConfig, reports: &[TopologyReport]) -> bool {
@@ -277,65 +199,63 @@ pub fn pool_held(config: &TopologyScaleConfig, reports: &[TopologyReport]) -> bo
     })
 }
 
-/// Serializes reports as the `BENCH_topology.json` document (hand-rolled:
-/// the offline serde shim has no serializer).
-pub fn to_json(config: &TopologyScaleConfig, reports: &[TopologyReport]) -> String {
-    let mut rows = String::new();
-    for (index, report) in reports.iter().enumerate() {
-        if index > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"label\": \"{}\", \"components\": {}, \"partitions_per_component\": {}, \
-             \"lanes\": {}, \"resident_reactor_threads\": {}, \"total_calls\": {}, \
-             \"elapsed_ms\": {:.3}, \"throughput_calls_per_sec\": {:.1}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-            report.label,
-            report.components,
-            report.partitions_per_component,
-            report.lanes,
-            report.resident_reactor_threads,
-            report.total_calls,
-            report.elapsed.as_secs_f64() * 1e3,
-            report.throughput,
-            report.p50.as_secs_f64() * 1e6,
-            report.p99.as_secs_f64() * 1e6,
-        ));
-    }
-    format!(
-        "{{\n  \"benchmark\": \"topology_scaling\",\n  \
-         \"workload\": {{\"actors\": {}, \"calls_per_actor\": {}, \
-         \"append_latency_us\": {}, \"reactor_threads\": {}}},\n  \
-         \"throughput_100x_over_1x\": {:.2},\n  \"pool_held\": {},\n  \
-         \"rows\": [\n{rows}\n  ]\n}}\n",
-        config.actors,
-        config.calls_per_actor,
-        config.append_latency.as_micros(),
-        config.reactor_threads,
-        hundred_over_one(reports),
-        pool_held(config, reports),
-    )
+/// Throughput at 100× must hold at least this fraction of the 1× baseline.
+pub const GATE_MIN_RATIO: f64 = 0.8;
+
+/// The `bench_topology` report: the sweep at the smoke or full size.
+pub fn bench(smoke: bool) -> Vec<Section> {
+    let config = sized(smoke, TopologyScaleConfig::smoke);
+    vec![section(&config, &sweep(&config))]
 }
 
-/// One human-readable table row.
-pub fn table_row(report: &TopologyReport) -> String {
-    format!(
-        "{:>6} {:>6} {:>8} {:>6} {:>9} {:>8} {:>12.0} {:>10.2} {:>10.2}",
-        report.label,
-        report.components,
-        report.partitions_per_component,
-        report.lanes,
-        report.resident_reactor_threads,
-        report.total_calls,
-        report.throughput,
-        report.p50.as_secs_f64() * 1e3,
-        report.p99.as_secs_f64() * 1e3,
+/// The sweep rows, gated on throughput at 100× and on the reactor pool
+/// holding its configured size at every scale.
+fn section(config: &TopologyScaleConfig, reports: &[TopologyReport]) -> Section {
+    Section::new(
+        "topology_scaling",
+        vec![
+            ("actors", config.actors.into()),
+            ("calls_per_actor", config.calls_per_actor.into()),
+            ("append_latency_us", as_us(config.append_latency).into()),
+            ("reactor_threads", config.reactor_threads.into()),
+        ],
     )
+    .rows(reports.iter().map(|r| {
+        let mut row = vec![
+            ("label", r.label.as_str().into()),
+            ("components", r.components.into()),
+            (
+                "partitions_per_component",
+                r.partitions_per_component.into(),
+            ),
+            ("lanes", r.lanes.into()),
+            (
+                "resident_reactor_threads",
+                r.resident_reactor_threads.into(),
+            ),
+        ];
+        row.extend(r.calls.cells());
+        row
+    }))
+    .gate(Gate::new(
+        "throughput_100x_over_1x",
+        ratio(
+            reports
+                .iter()
+                .map(|r| (r.label.as_str(), r.calls.throughput)),
+            "100x",
+            "1x",
+        ),
+        Bound::AtLeast(GATE_MIN_RATIO),
+    ))
+    .gate(Gate::holds("pool_held", pool_held(config, reports)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{gate_list, BenchReport, Bound};
+    use crate::throughput::stats_at;
 
     #[test]
     fn throughput_holds_at_100x_topology_with_a_fixed_pool() {
@@ -355,7 +275,13 @@ mod tests {
         // `bench_topology --smoke`; this debug-build sanity check only has
         // to rule out the pre-reactor collapse (~0.1x at 100x), not hold
         // the optimized bar under unoptimized per-call overhead.
-        let ratio = hundred_over_one(&reports);
+        let ratio = ratio(
+            reports
+                .iter()
+                .map(|r| (r.label.as_str(), r.calls.throughput)),
+            "100x",
+            "1x",
+        );
         assert!(
             ratio >= 0.5,
             "throughput fell to {ratio:.2}x at the 100x topology (debug sanity bound: >= 0.5x)"
@@ -365,55 +291,34 @@ mod tests {
     #[test]
     fn report_fields_and_json_are_consistent() {
         let config = TopologyScaleConfig::smoke();
-        let reports = vec![
-            TopologyReport {
-                label: "1x".to_owned(),
-                components: 2,
-                partitions_per_component: 2,
-                lanes: 4,
+        let report =
+            |label: &str, components, partitions_per_component, throughput| TopologyReport {
+                label: label.to_owned(),
+                components,
+                partitions_per_component,
+                lanes: components * partitions_per_component,
                 resident_reactor_threads: 4,
                 configured_reactor_threads: 4,
-                total_calls: 64,
-                elapsed: Duration::from_millis(100),
-                throughput: 640.0,
-                p50: Duration::from_micros(700),
-                p99: Duration::from_micros(950),
-            },
-            TopologyReport {
-                label: "100x".to_owned(),
-                components: 8,
-                partitions_per_component: 50,
-                lanes: 400,
-                resident_reactor_threads: 4,
-                configured_reactor_threads: 4,
-                total_calls: 64,
-                elapsed: Duration::from_millis(110),
-                throughput: 576.0,
-                p50: Duration::from_micros(750),
-                p99: Duration::from_micros(990),
-            },
-        ];
-        assert!((hundred_over_one(&reports) - 0.9).abs() < 1e-9);
+                calls: stats_at(throughput),
+            };
+        let reports = vec![report("1x", 2, 2, 640.0), report("100x", 8, 50, 576.0)];
         assert!(pool_held(&config, &reports));
         let mut drifted = reports.clone();
         drifted[1].resident_reactor_threads = 17;
         assert!(!pool_held(&config, &drifted));
-        let json = to_json(&config, &reports);
-        assert!(json.contains("\"benchmark\": \"topology_scaling\""));
-        assert!(json.contains("\"label\": \"100x\""));
-        assert!(json.contains("\"throughput_100x_over_1x\": 0.90"));
-        assert!(json.contains("\"pool_held\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(hundred_over_one(&[]), 0.0);
+        let section = section(&config, &reports);
         assert_eq!(
-            TopologyScale {
-                label: "x".into(),
-                components: 8,
-                partitions_per_component: 50
-            }
-            .total_partitions(),
-            400
+            gate_list(std::slice::from_ref(&section)),
+            vec![
+                ("throughput_100x_over_1x".to_owned(), Bound::AtLeast(0.8)),
+                ("pool_held".to_owned(), Bound::AtLeast(1.0)),
+            ]
+        );
+        let json = BenchReport::new("topology", true, vec![section]).to_json();
+        assert!(json.contains("\"label\": \"100x\""));
+        assert!(json.contains("\"value\": 0.9, \"at_least\": 0.8, \"passed\": true"));
+        assert!(
+            !BenchReport::new("topology", true, vec![self::section(&config, &drifted)]).passed()
         );
     }
 }

@@ -22,7 +22,7 @@
 //!   matter which reactor runs it.
 //!
 //! Work stealing: static actor→shard hashing leaves the worst shard with up
-//! to ~2× the mean load (BENCH_messaging.json). A reactor that finds every
+//! to ~2× the mean load. A reactor that finds every
 //! claimable shard empty therefore steals work from the deepest shard queue
 //! — and a push that leaves a queue [`STEAL_WAKEUP_DEPTH`] deep notifies the
 //! pool's wait group (counted as a steal wakeup) so a parked reactor comes
