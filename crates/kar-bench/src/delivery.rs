@@ -412,6 +412,7 @@ mod tests {
 
     #[test]
     fn group_wait_wakeup_beats_the_rotation_slice() {
+        let _serial = crate::serialize_timing_test();
         let config = WakeupConfig {
             partitions: 4,
             appends: 30,

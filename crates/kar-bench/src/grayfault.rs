@@ -16,9 +16,11 @@
 //!
 //! The gates: `policy` goodput must stay within [`GATE_MIN_RATIO`]× of
 //! `clean`, no `policy` caller may see an error, and every arm must persist
-//! each acknowledged call exactly once. A mesh whose hardening leaks
-//! injected gray failures to callers (or melts down replaying them, or
-//! applies a call twice) fails the run.
+//! each acknowledged call exactly once. The goodput ratio is taken over
+//! alternating `clean`/`policy` pairs (the median of the per-pair ratios), so
+//! host drift between two runs minutes apart cannot decide the gate. A mesh
+//! whose hardening leaks injected gray failures to callers (or melts down
+//! replaying them, or applies a call twice) fails the run.
 //!
 //! The fault schedule is seeded — `KAR_CHAOS_SEED` (decimal or `0x`-hex)
 //! overrides the default, and every run prints the effective seed — so a
@@ -58,6 +60,9 @@ pub struct GrayFaultConfig {
     pub brownout_latency: Duration,
     /// Base delay of the policy arm's exponential backoff.
     pub backoff_base: Duration,
+    /// Alternating `clean`/`policy` run pairs; the goodput gate reads the
+    /// median of their per-pair ratios.
+    pub pairs: usize,
 }
 
 impl Default for GrayFaultConfig {
@@ -79,6 +84,7 @@ impl Default for GrayFaultConfig {
             brownout_ops: 2_000,
             brownout_latency: Duration::from_micros(50),
             backoff_base: Duration::from_millis(10),
+            pairs: 3,
         }
     }
 }
@@ -91,6 +97,7 @@ impl GrayFaultConfig {
             calls_per_caller: 6_000,
             brownout_after_ops: 4_000,
             brownout_ops: 800,
+            pairs: 1,
             ..GrayFaultConfig::default()
         }
     }
@@ -281,19 +288,48 @@ pub fn bench(smoke: bool) -> Vec<Section> {
         "fault schedule seed: {} (replay with KAR_CHAOS_SEED={})",
         config.seed, config.seed
     );
-    let reports = ["clean", "policy", "naive"].map(|arm| measure_arm(arm, &config));
+    let mut reports = Vec::new();
+    for _ in 0..config.pairs.max(1) {
+        reports.push(measure_arm("clean", &config));
+        reports.push(measure_arm("policy", &config));
+    }
+    reports.push(measure_arm("naive", &config));
     vec![section(&config, &reports)]
 }
 
-/// The sweep rows, gated on policy goodput over fault-free, on zero
-/// caller-visible errors in the policy arm, and on exactly-once persistence
-/// in every arm: `calls <= persisted_total <= calls + caller_errors` (a
-/// failed call may have applied before its ack was lost).
+/// `policy` over `clean` goodput of each pair, in run order: the n-th
+/// `policy` run over the n-th `clean` run.
+fn pair_ratios(reports: &[GrayFaultReport]) -> Vec<f64> {
+    let arm = |name| reports.iter().filter(move |r| r.arm == name);
+    arm("clean")
+        .zip(arm("policy"))
+        .map(|(clean, policy)| ratio([(1, policy.goodput), (0, clean.goodput)], 1, 0))
+        .collect()
+}
+
+/// The median of `values` (NaN when empty).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    match values.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => values[n / 2],
+        n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
+    }
+}
+
+/// The sweep rows (every run, in run order), gated on the median pair ratio
+/// of policy goodput over fault-free, on zero caller-visible errors in the
+/// policy runs, and on exactly-once persistence in every run:
+/// `calls <= persisted_total <= calls + caller_errors` (a failed call may
+/// have applied before its ack was lost).
 fn section(config: &GrayFaultConfig, reports: &[GrayFaultReport]) -> Section {
     let policy_errors = reports
         .iter()
-        .find(|r| r.arm == "policy")
-        .map_or(f64::NAN, |r| r.caller_errors as f64);
+        .filter(|r| r.arm == "policy")
+        .map(|r| r.caller_errors as f64)
+        .reduce(|a, b| a + b)
+        .unwrap_or(f64::NAN);
+    let ratios = pair_ratios(reports);
     let mut section = Section::new(
         "gray_faults",
         vec![
@@ -323,13 +359,10 @@ fn section(config: &GrayFaultConfig, reports: &[GrayFaultReport]) -> Section {
             ("persisted_total", r.persisted_total.into()),
         ]
     }))
+    .value("pair_ratios", ratios.clone())
     .gate(Gate::new(
         "goodput_policy_over_clean",
-        ratio(
-            reports.iter().map(|r| (r.arm, r.goodput)),
-            "policy",
-            "clean",
-        ),
+        median(ratios),
         Bound::AtLeast(GATE_MIN_RATIO),
     ))
     .gate(Gate::new(
@@ -426,6 +459,36 @@ mod tests {
         assert_eq!(gate_list(&sections), expected);
         let json = BenchReport::new("grayfault", true, sections).to_json();
         assert!(json.contains("\"arm\": \"naive\""));
+    }
+
+    #[test]
+    fn the_gate_reads_the_median_of_alternating_pairs() {
+        let run = |arm, goodput| GrayFaultReport {
+            arm,
+            calls: 0,
+            elapsed: Duration::ZERO,
+            goodput,
+            caller_errors: 0,
+            faults_injected: 0,
+            acks_lost: 0,
+            brownout_ops: 0,
+            retries_scheduled: 0,
+            dead_lettered: 0,
+            persisted_total: 0,
+        };
+        let reports = [
+            run("clean", 100.0),
+            run("policy", 70.0),
+            run("clean", 50.0),
+            run("policy", 50.0),
+            run("clean", 100.0),
+            run("policy", 90.0),
+            run("naive", 10.0),
+        ];
+        assert_eq!(pair_ratios(&reports), vec![0.7, 1.0, 0.9]);
+        assert_eq!(median(pair_ratios(&reports)), 0.9);
+        assert_eq!(median(vec![0.7, 1.0]), 0.85);
+        assert!(median(Vec::new()).is_nan());
     }
 
     #[test]

@@ -63,3 +63,15 @@ pub mod sim;
 pub mod store;
 pub mod throughput;
 pub mod topology;
+
+/// Holds the one lock that the unit tests asserting wall-clock throughput or
+/// latency ratios take for their whole run: side by side in one test binary
+/// they would share the host's cores and measure each other. The lock guards
+/// no data, so a test that panicked holding it leaves nothing to repair.
+#[cfg(test)]
+pub(crate) fn serialize_timing_test() -> std::sync::MutexGuard<'static, ()> {
+    static TIMING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TIMING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -176,6 +176,7 @@ mod tests {
 
     #[test]
     fn four_partitions_beat_one_on_the_ack_bound_workload() {
+        let _serial = crate::serialize_timing_test();
         let config = small();
         let one = measure_partitions(1, &config);
         let four = measure_partitions(4, &config);

@@ -233,6 +233,7 @@ mod tests {
 
     #[test]
     fn four_workers_at_least_double_single_worker_throughput() {
+        let _serial = crate::serialize_timing_test();
         let config = small();
         let serial = measure_throughput(1, &config);
         let parallel = measure_throughput(4, &config);

@@ -259,6 +259,7 @@ mod tests {
 
     #[test]
     fn throughput_holds_at_100x_topology_with_a_fixed_pool() {
+        let _serial = crate::serialize_timing_test();
         let config = TopologyScaleConfig::smoke();
         let reports = sweep(&config);
         // The pool is the mesh's own accounting here (the resident OS-thread

@@ -29,8 +29,8 @@ pub enum Outcome {
     /// as a continuation instead of blocking the worker: the runtime sends
     /// the nested request, frees the thread, and resumes `then` with the
     /// result when the response record arrives. The actor stays locked for
-    /// the duration (same serialization as a blocking [`ActorContext::call`],
-    /// including reentrant bypass along the lineage), and a failure while
+    /// the duration (reentrant calls along the lineage bypass its mailbox
+    /// and run on the parked instance), and a failure while
     /// parked is retried from the queue copy of the original request exactly
     /// like a killed in-flight invocation.
     CallThen {

@@ -62,7 +62,7 @@ impl Client {
     ///
     /// Fails if the request could not be enqueued.
     pub fn tell(&self, target: &ActorRef, method: &str, args: Vec<Value>) -> KarResult<()> {
-        self.core.external_tell(target, method, args)
+        self.core.tell(target, method, args)
     }
 
     /// The component id backing this client.

@@ -151,11 +151,10 @@ struct ActorSlot {
 
 /// The admission decision for one polled request.
 enum Admission {
-    /// Admitted: run this invocation inline — `(request, holds_lock,
-    /// reentrant)`.
-    Run(RequestMessage, bool, bool),
-    /// Not ours: forward to the current placement, *outside* the shard
-    /// claim (forwarding may wait out a stale placement).
+    /// Admitted: run this invocation inline — `(request, holds_lock)`.
+    Run(RequestMessage, bool),
+    /// Not ours: forward to the current placement (see
+    /// `ComponentCore::forward`).
     Forward(RequestMessage),
     /// Absorbed: duplicate, deferred, mailboxed, or dropped.
     Done,
@@ -168,28 +167,6 @@ enum Admission {
 /// dedicating a thread to it.
 struct ConsumerLane {
     consumers: Mutex<Vec<Consumer<Envelope>>>,
-}
-
-/// One dispatch-shard claim held by a `drain_shard` frame on this thread.
-/// `core` is an identity (never dereferenced); `yielded` records that a
-/// blocking wait inside the frame's invocation handed the shard off.
-struct ShardClaim {
-    core: usize,
-    shard: usize,
-    yielded: bool,
-}
-
-thread_local! {
-    /// Dispatch-shard claims held by `drain_shard` frames on this thread,
-    /// innermost last. Entering a blocking runtime wait *yields* the
-    /// innermost claim — the reactor-era version of the old worker-thread
-    /// hand-off to a replacement drainer: the shard stays drainable by any
-    /// reactor (including this thread's own nested pumps) while the
-    /// invocation is parked, so two actors on one shard calling each other
-    /// cannot deadlock, and one stale placement never stalls every other
-    /// actor pinned to the shard.
-    static SHARD_CLAIMS: std::cell::RefCell<Vec<ShardClaim>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// The runtime core of one application component.
@@ -266,6 +243,10 @@ pub struct ComponentCore {
     retired: Mutex<Vec<usize>>,
     actors: Mutex<HashMap<ActorRef, ActorSlot>>,
     pending_calls: Mutex<HashMap<RequestId, Sender<Arc<Payload>>>>,
+    /// Forwards whose target placement is stale: durable in the queue they
+    /// were polled from and counted as locally pending, re-admitted after
+    /// the next placement repair or timer tick (see `ComponentCore::forward`).
+    unresolved_forwards: Mutex<Vec<RequestMessage>>,
     deferred: Mutex<HashMap<RequestId, Vec<RequestMessage>>>,
     /// Response ids seen by this component. Aged out alongside queue
     /// retention: a response old enough to leave the set has also expired
@@ -345,7 +326,6 @@ impl ComponentCore {
             live.clone(),
             config.placement_cache,
             config.effective_dispatch_workers(),
-            config.call_timeout,
         );
         // The retry bookkeeping — and the dispatcher's steal-route table —
         // age on the queue-retention clock: the broker coordinator actively
@@ -404,6 +384,7 @@ impl ComponentCore {
             retired: Mutex::new(Vec::new()),
             actors: Mutex::new(HashMap::new()),
             pending_calls: Mutex::new(HashMap::new()),
+            unresolved_forwards: Mutex::new(Vec::new()),
             deferred: Mutex::new(HashMap::new()),
             seen_responses: Mutex::new(AgingSet::new(bookkeeping_interval)),
             inflight: Mutex::new(HashSet::new()),
@@ -454,6 +435,8 @@ impl ComponentCore {
 
     pub(crate) fn resume(&self) {
         self.placement.clear_cache();
+        // The repair that just landed is what unresolved forwards wait for.
+        self.readmit_unresolved_forwards();
         // Conservative state-cache refresh after recovery: clean entries are
         // dropped (cheap to reload); entries with buffered writes belong to
         // invocations still executing here — placement never moves an actor
@@ -514,8 +497,9 @@ impl ComponentCore {
         // are lost, exactly like the in-flight writes of a killed
         // per-command component (no response was sent for them).
         self.state_cache.invalidate_all();
-        // Dropping the senders wakes every thread blocked on a nested call.
+        // Dropping the senders wakes every client thread blocked on a call.
         self.pending_calls.lock().clear();
+        self.unresolved_forwards.lock().clear();
         self.deferred.lock().clear();
         self.inflight.lock().clear();
         // Buffered (not yet appended) completions die with the process; the
@@ -606,6 +590,10 @@ impl ComponentCore {
             .inflight
             .try_lock()
             .map(|inflight| sorted(inflight.iter().copied().collect()));
+        let unresolved_forwards = self
+            .unresolved_forwards
+            .try_lock()
+            .map(|held| sorted(held.iter().map(|r| r.id).collect()));
         let blocked_calls = self
             .pending_calls
             .try_lock()
@@ -650,6 +638,7 @@ impl ComponentCore {
             actors,
             deferred_on_callee,
             inflight,
+            unresolved_forwards,
             blocked_calls,
         }
     }
@@ -696,6 +685,12 @@ impl ComponentCore {
     /// component (used by reconciliation to decide whether a copy found in a
     /// failed queue is superseded or must be re-homed).
     pub(crate) fn locally_pending(&self, id: RequestId) -> bool {
+        // Held forwards first: re-admission moves them into the pool's
+        // pending set before releasing this lock, so checking in this order
+        // cannot miss one in transit.
+        if self.unresolved_forwards.lock().iter().any(|r| r.id == id) {
+            return true;
+        }
         // Polled off the queue but not yet admitted to an actor slot: without
         // this check a request sitting in a shard queue would look neither
         // "still queued" (its offset was consumed) nor pending, and
@@ -736,54 +731,52 @@ impl ComponentCore {
     // Sending
     // ------------------------------------------------------------------
 
-    /// Resolves the target actor's placement and appends the request to the
-    /// hosting component's queue.
-    ///
-    /// Resolution can wait (bounded by the call timeout) when a recorded
-    /// placement points at a failed component and reconciliation has not
-    /// rewritten it yet. A reactor thread waiting here keeps pumping the
-    /// mesh instead of parking (work-while-waiting), so one stale placement
-    /// never idles a thread of the fixed pool; other threads park on the
-    /// placement repair signal.
-    pub(crate) fn send_request(self: &Arc<Self>, message: RequestMessage) -> KarResult<()> {
-        let deadline = mono_now() + self.config.call_timeout;
-        let component = loop {
-            if !self.is_alive() {
-                return Err(KarError::Killed { component: self.id });
-            }
-            // Snapshot the repair signal before resolving: a repair landing
-            // between the lookup and the wait wakes the waiter at once.
-            let seen = self.placement.repair_epoch();
-            // A transient store failure during resolution is a gray failure
-            // on the submission path — the request record (and with it any
-            // retry policy) does not exist yet, so nothing downstream can
-            // absorb it. Treat it exactly like an unresolved placement:
-            // wait and retry under the same call-timeout deadline.
-            match self.placement.resolve_nowait(&message.target) {
-                Ok(Some(component)) => break component,
-                Err(error) if !error.is_transient() => return Err(error),
-                Ok(None) | Err(_) => {
-                    let now = mono_now();
-                    if now >= deadline {
-                        return Err(KarError::Timeout {
-                            request: message.id,
-                            after_ms: self.config.call_timeout.as_millis() as u64,
-                        });
-                    }
-                    // Waiting out a stale placement: hand the shard off so
-                    // one unresolved actor never stalls the others pinned
-                    // to it (idempotent across loop iterations).
-                    self.yield_shard_claim();
-                    if kar_types::sim::active() {
-                        kar_types::sim::step();
-                    } else if !crate::mesh::pump_current_reactor() {
-                        self.placement
-                            .wait_for_repair(seen, Duration::from_millis(5).min(deadline - now));
-                    }
-                }
-            }
+    /// Resolves the target actor's placement and appends a fresh request to
+    /// the hosting component's queue, durable when this returns. Never
+    /// waits: when the placement is stale (it names a failed component that
+    /// reconciliation has not repaired yet) or resolution hit a transient
+    /// store failure, the request is appended to this component's own home
+    /// partition instead, keyed by the target actor. Admission polls it back
+    /// and forwards it (see [`ComponentCore::forward`]), so the request
+    /// chases the placement from a queue, not from a waiting frame.
+    pub(crate) fn send_request(&self, message: RequestMessage) -> KarResult<()> {
+        if !self.is_alive() {
+            return Err(KarError::Killed { component: self.id });
+        }
+        let owner = match self.placement.resolve_nowait(&message.target) {
+            Ok(Some(component)) => component,
+            Err(error) if !error.is_transient() => return Err(error),
+            Ok(None) | Err(_) => self.id,
         };
-        self.send_request_to(component, message)
+        self.send_request_to(owner, message)
+    }
+
+    /// Forwards a request admission found owned elsewhere to its owner's
+    /// queue. A placement that still cannot be resolved holds the request in
+    /// `unresolved_forwards` — it is durable in the queue it was polled
+    /// from, and `locally_pending` counts it — until a placement repair
+    /// (`resume`) or the next timer tick re-admits it; it is never
+    /// re-appended. A non-transient failure (no host for the type, or this
+    /// component fenced) drops it: a live owner of the queue copy drives the
+    /// retry.
+    fn forward(&self, request: RequestMessage) {
+        match self.placement.resolve_nowait(&request.target) {
+            Ok(Some(owner)) => {
+                let _ = self.send_request_to(owner, request);
+            }
+            Err(error) if !error.is_transient() => {}
+            Ok(None) | Err(_) => self.unresolved_forwards.lock().push(request),
+        }
+    }
+
+    /// Hands every held forward back to the dispatch pool, where admission
+    /// resolves its placement again. The list stays locked until the pool's
+    /// pending set holds every id (see `locally_pending`).
+    fn readmit_unresolved_forwards(&self) {
+        let mut held = self.unresolved_forwards.lock();
+        if !held.is_empty() {
+            self.pool.submit_batch(std::mem::take(&mut *held));
+        }
     }
 
     /// Appends `message` to `component`'s queue, hashed by actor key over
@@ -958,76 +951,9 @@ impl ComponentCore {
         self.wait_for_response(id, receiver)
     }
 
-    /// An asynchronous root invocation issued by an external client.
-    pub(crate) fn external_tell(
-        self: &Arc<Self>,
-        target: &ActorRef,
-        method: &str,
-        args: Vec<Value>,
-    ) -> KarResult<()> {
-        if !self.is_alive() {
-            return Err(KarError::Killed { component: self.id });
-        }
-        let id = self.ids.fresh();
-        let message = RequestMessage {
-            id,
-            caller: None,
-            target: target.clone(),
-            method: method.to_owned(),
-            args,
-            kind: CallKind::Tell,
-            lineage: Vec::new(),
-            pending_callee: None,
-            caller_actor: None,
-            reply_to: None,
-            retry: None,
-        };
-        self.sidecar_hop();
-        self.send_request(message)
-    }
-
-    /// A nested blocking call issued from inside an actor invocation.
-    pub(crate) fn nested_call(
-        self: &Arc<Self>,
-        caller: &RequestMessage,
-        caller_actor: &ActorRef,
-        target: &ActorRef,
-        method: &str,
-        args: Vec<Value>,
-        policy: Option<RetryPolicy>,
-    ) -> KarResult<Value> {
-        if !self.is_alive() {
-            return Err(KarError::Killed { component: self.id });
-        }
-        let id = self.ids.fresh();
-        let message = RequestMessage {
-            id,
-            caller: Some(caller.id),
-            target: target.clone(),
-            method: method.to_owned(),
-            args,
-            kind: CallKind::Call,
-            lineage: caller.chain(),
-            pending_callee: None,
-            caller_actor: Some(caller_actor.clone()),
-            reply_to: Some(self.id),
-            retry: policy.map(|p| Box::new(RetryState::fresh(p, epoch_ms()))),
-        };
-        self.sidecar_hop();
-        let receiver = self.register_pending(id);
-        self.send_request(message)?;
-        self.wait_for_response(id, receiver)
-    }
-
-    /// A nested asynchronous invocation issued from inside an actor
-    /// invocation.
-    pub(crate) fn nested_tell(
-        self: &Arc<Self>,
-        _caller: &RequestMessage,
-        target: &ActorRef,
-        method: &str,
-        args: Vec<Value>,
-    ) -> KarResult<()> {
+    /// An asynchronous invocation: a client's `tell`, or a handler's. A tell
+    /// carries no caller and no lineage, so both are the same root request.
+    pub(crate) fn tell(&self, target: &ActorRef, method: &str, args: Vec<Value>) -> KarResult<()> {
         if !self.is_alive() {
             return Err(KarError::Killed { component: self.id });
         }
@@ -1060,24 +986,14 @@ impl ComponentCore {
         id: RequestId,
         receiver: crossbeam::channel::Receiver<Arc<Payload>>,
     ) -> KarResult<Value> {
-        // About to park: hand this frame's dispatch shard back to the pool
-        // first, so the shard keeps making progress — without this, two
-        // actors on one shard calling each other would deadlock until the
-        // call timeout (the callee's reentrant callback hashes to the very
-        // shard this caller's claim is wedging).
-        self.yield_shard_claim();
-        // A blocking `ctx.call` on a reactor thread must not idle a thread
-        // of the fixed pool: interleave short waits with pumping the mesh
-        // (work-while-waiting), so the nested request — and everything else
-        // — keeps making progress even on a single-reactor mesh. Any reactor
-        // can deliver this response; pumping is about throughput, not
-        // correctness. Off-reactor threads (clients) just block.
-        let deadline = mono_now() + self.config.call_timeout;
+        // Only client threads wait here: a handler parks a continuation
+        // instead (`park_nested`), so no reactor ever blocks on a response.
         let outcome = if kar_types::sim::active() {
             // Simulation: the driver thread owns every lane, so parking on
             // the channel would deadlock the whole mesh. Drive the seeded
             // scheduler instead; time only advances when the scheduler says
             // so, making the timeout below a *virtual* deadline.
+            let deadline = mono_now() + self.config.call_timeout;
             loop {
                 match receiver.try_recv() {
                     Ok(payload) => break Ok(payload),
@@ -1093,25 +1009,7 @@ impl ComponentCore {
                 }
             }
         } else {
-            loop {
-                let slice = if crate::mesh::on_reactor_thread() {
-                    Duration::from_millis(1).min(self.config.call_timeout)
-                } else {
-                    deadline.saturating_sub(mono_now())
-                };
-                match receiver.recv_timeout(slice) {
-                    Ok(payload) => break Ok(payload),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        break Err(RecvTimeoutError::Disconnected)
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if mono_now() >= deadline {
-                            break Err(RecvTimeoutError::Timeout);
-                        }
-                        crate::mesh::pump_current_reactor();
-                    }
-                }
-            }
+            receiver.recv_timeout(self.config.call_timeout)
         };
         self.pending_calls.lock().remove(&id);
         match outcome {
@@ -1218,9 +1116,8 @@ impl ComponentCore {
     /// Admission control for one request, run under its shard's claim:
     /// dedupes retries, defers happen-before-annotated retries, flags
     /// mis-routed requests for forwarding, and applies the actor-lock rules
-    /// of §2.2–§4.1. Never blocks — forwarding (which may wait out a stale
-    /// placement) is returned to the caller to perform *outside* the shard
-    /// claim, so one stale placement never wedges a whole shard.
+    /// of §2.2–§4.1. Never blocks: a request to forward is returned to the
+    /// caller, which forwards it or holds it aside (`forward`).
     fn admit_request(self: &Arc<Self>, mut request: RequestMessage) -> Admission {
         if !self.is_alive() {
             return Admission::Done;
@@ -1258,9 +1155,9 @@ impl ComponentCore {
         // owner (the two components' retry dedupe sets are disjoint), so
         // verify ownership and forward otherwise. `resolve_nowait` also
         // (re-)places actors with no recorded placement, which is exactly
-        // right for records salvaged from a flushed queue. A placement error
-        // means this component is being fenced/killed: drop; the queue copy
-        // drives the retry.
+        // right for records salvaged from a flushed queue. A non-transient
+        // placement error means this component is being fenced/killed:
+        // drop; the queue copy drives the retry.
         //
         // Placement-check locality: a slot stamped "ownership verified in
         // epoch E" skips even the one placement-cache hit while E is still
@@ -1280,14 +1177,14 @@ impl ComponentCore {
         } else {
             match self.placement.resolve_nowait(&request.target) {
                 Ok(Some(owner)) if owner == self.id => {}
-                Ok(_) => {
-                    // Owned elsewhere, or a stale placement awaiting repair:
-                    // `send_request` re-resolves (outside the shard claim)
-                    // and appends to the owner's queue.
+                Err(error) if !error.is_transient() => return Admission::Done,
+                // Owned elsewhere, a stale placement awaiting repair, or a
+                // transient store failure: `forward` re-resolves and appends
+                // to the owner's queue, or holds the request until it can.
+                _ => {
                     self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
                     return Admission::Forward(request);
                 }
-                Err(_) => return Admission::Done,
             }
         }
         // Happen-before: a retried caller waits for its pending callee. The
@@ -1368,7 +1265,7 @@ impl ComponentCore {
                 }
                 drop(actors);
                 self.inflight.lock().insert(request.id);
-                return Admission::Run(request, true, false);
+                return Admission::Run(request, true);
             }
             // A sibling of a deferred activation: mailbox behind the parked
             // head, preserving per-actor FIFO across the deferral (the head
@@ -1388,17 +1285,19 @@ impl ComponentCore {
             slot.busy_chain = request.chain();
             drop(actors);
             self.inflight.lock().insert(request.id);
-            Admission::Run(request, true, false)
+            Admission::Run(request, true)
         } else if slot.busy {
             let reentrant = request
                 .lineage
                 .iter()
                 .any(|id| slot.busy_chain.contains(id));
             if reentrant {
-                // Reentrant nested call: bypass the mailbox (§2.2).
+                // Reentrant nested call: bypass the mailbox (§2.2). Its
+                // lock-holding ancestor is parked on a continuation, so the
+                // instance is back in the slot for this frame to use.
                 drop(actors);
                 self.inflight.lock().insert(request.id);
-                Admission::Run(request, false, true)
+                Admission::Run(request, false)
             } else {
                 // Move the request into the mailbox — no payload clone; the
                 // id is all the bookkeeping needs.
@@ -1414,12 +1313,8 @@ impl ComponentCore {
             slot.busy_chain = request.chain();
             drop(actors);
             self.inflight.lock().insert(request.id);
-            Admission::Run(request, true, false)
+            Admission::Run(request, true)
         }
-    }
-
-    fn run_invocation(self: Arc<Self>, request: RequestMessage, holds_lock: bool, reentrant: bool) {
-        self.invocation_loop(request, holds_lock, reentrant, None);
     }
 
     /// Resumes a parked continuation with the nested call's result, then
@@ -1432,7 +1327,6 @@ impl ComponentCore {
         let ParkedContinuation {
             request,
             holds_lock,
-            reentrant,
             then,
             ..
         } = parked;
@@ -1441,7 +1335,7 @@ impl ComponentCore {
             let mut ctx = ActorContext::new(self, &request, request.target.clone());
             then.resume(&mut ctx, input)
         };
-        Arc::clone(self).invocation_loop(request, holds_lock, reentrant, Some(result));
+        Arc::clone(self).invocation_loop(request, holds_lock, Some(result));
     }
 
     /// Sends the nested request of an [`Outcome::CallThen`] and parks its
@@ -1454,7 +1348,6 @@ impl ComponentCore {
         self: &Arc<Self>,
         request: &RequestMessage,
         holds_lock: bool,
-        reentrant: bool,
         target: ActorRef,
         method: String,
         args: Vec<Value>,
@@ -1483,7 +1376,6 @@ impl ComponentCore {
             ParkedContinuation {
                 request: request.clone(),
                 holds_lock,
-                reentrant,
                 deadline: mono_now() + self.config.call_timeout,
                 then,
             },
@@ -1511,7 +1403,6 @@ impl ComponentCore {
         self: Arc<Self>,
         mut request: RequestMessage,
         holds_lock: bool,
-        mut reentrant: bool,
         mut resumed: Option<KarResult<Outcome>>,
     ) {
         loop {
@@ -1547,7 +1438,7 @@ impl ComponentCore {
                         // recorded — an open breaker must not feed itself.
                         match self.breakers.admit(request.target.actor_type()) {
                             Ok(()) => {
-                                let result = self.execute(&request, reentrant);
+                                let result = self.execute(&request);
                                 if !matches!(
                                     result,
                                     Err(KarError::Killed { .. } | KarError::Fenced { .. })
@@ -1575,9 +1466,9 @@ impl ComponentCore {
                         args,
                         policy,
                         then,
-                    }) => match self.park_nested(
-                        &request, holds_lock, reentrant, target, method, args, policy, then,
-                    ) {
+                    }) => match self
+                        .park_nested(&request, holds_lock, target, method, args, policy, then)
+                    {
                         None => return,
                         Some(next) => {
                             resumed = Some(next);
@@ -1727,10 +1618,7 @@ impl ComponentCore {
                 }
             };
             match next {
-                Some(next) => {
-                    request = next;
-                    reentrant = false;
-                }
+                Some(next) => request = next,
                 None => return,
             }
         }
@@ -1770,32 +1658,28 @@ impl ComponentCore {
         Ok(instance)
     }
 
-    fn execute(self: &Arc<Self>, request: &RequestMessage, reentrant: bool) -> KarResult<Outcome> {
+    /// Runs the handler on the actor's cached instance (activating one on
+    /// first use). A reentrant frame finds the instance in the slot too:
+    /// its lock-holding ancestor is parked, never mid-handler.
+    fn execute(self: &Arc<Self>, request: &RequestMessage) -> KarResult<Outcome> {
         if !self.is_alive() {
             return Err(KarError::Killed { component: self.id });
         }
-        // Reentrant invocations run on a fresh activation of the actor (the
-        // cached instance is checked out by the suspended ancestor frame);
-        // durable state is shared through the persistence API.
-        let mut instance = if reentrant {
-            self.make_instance(request)?
-        } else {
-            let taken = {
-                let mut actors = self.actors.lock();
-                actors
-                    .get_mut(&request.target)
-                    .and_then(|slot| slot.instance.take())
-            };
-            match taken {
-                Some(instance) => instance,
-                None => self.make_instance(request)?,
-            }
+        let taken = {
+            let mut actors = self.actors.lock();
+            actors
+                .get_mut(&request.target)
+                .and_then(|slot| slot.instance.take())
+        };
+        let mut instance = match taken {
+            Some(instance) => instance,
+            None => self.make_instance(request)?,
         };
         let result = {
             let mut ctx = ActorContext::new(self, request, request.target.clone());
             instance.invoke(&mut ctx, &request.method, &request.args)
         };
-        if !reentrant && self.is_alive() {
+        if self.is_alive() {
             let mut actors = self.actors.lock();
             if let Some(slot) = actors.get_mut(&request.target) {
                 slot.instance = Some(instance);
@@ -2210,44 +2094,17 @@ impl ComponentCore {
         did
     }
 
-    /// Yields the innermost dispatch-shard claim held by this thread, if it
-    /// belongs to this component and has not been yielded already. Called on
-    /// entry to every blocking runtime wait: the invocation keeps running
-    /// (actor lock held, mailbox queuing behind it), but its shard is handed
-    /// back to the pool so other actors pinned there keep dispatching.
-    fn yield_shard_claim(self: &Arc<Self>) {
-        let identity = Arc::as_ptr(self) as usize;
-        SHARD_CLAIMS.with(|stack| {
-            if let Some(top) = stack.borrow_mut().last_mut() {
-                if !top.yielded && top.core == identity {
-                    top.yielded = true;
-                    self.pool.release_claim(top.shard);
-                }
-            }
-        });
-    }
-
     fn drain_shard(self: &Arc<Self>, shard: usize) -> bool {
         // The claim is held across the invocation, not just the pop: one
-        // shard runs one *computing* invocation at a time, so
-        // `dispatch_workers` keeps its pre-reactor meaning as the
-        // component's dispatch concurrency bound (a shard ≈ one former
-        // worker thread). An invocation entering a blocking runtime wait
-        // yields the claim (see `yield_shard_claim`), exactly as the old
-        // blocked worker handed its shard to a replacement drainer.
+        // shard runs one invocation at a time, so `dispatch_workers` bounds
+        // the component's dispatch concurrency (a shard ≈ one former worker
+        // thread). No handler waits while holding it: a nested call parks a
+        // continuation and a stale placement holds the forward aside, so
+        // both return here at once.
         if !self.pool.try_claim(shard) {
             return false;
         }
-        let identity = Arc::as_ptr(self) as usize;
-        SHARD_CLAIMS.with(|stack| {
-            stack.borrow_mut().push(ShardClaim {
-                core: identity,
-                shard,
-                yielded: false,
-            });
-        });
         let mut did = false;
-        let mut yielded = false;
         loop {
             if !self.is_alive() || self.is_paused() || self.pool.depth(shard) == 0 {
                 break;
@@ -2257,42 +2114,30 @@ impl ComponentCore {
             };
             let id = request.id;
             let target = request.target.clone();
-            let admitted = self.admit_request(request);
-            // The request is now in an actor slot (or dropped as a
-            // duplicate): no longer pending admission.
+            let run = match self.admit_request(request) {
+                Admission::Run(request, holds_lock) => Some((request, holds_lock)),
+                // Forward while the id is still pending admission, so
+                // reconciliation always finds the request pending here,
+                // held here, or queued at its owner.
+                Admission::Forward(request) => {
+                    self.forward(request);
+                    None
+                }
+                Admission::Done => None,
+            };
+            // The request is now in an actor slot, forwarded, held, or
+            // dropped as a duplicate: no longer pending admission.
             self.pool.admitted(id);
             self.pool.mark_admitted(shard);
             did = true;
-            match admitted {
-                Admission::Run(request, holds_lock, reentrant) => {
-                    Arc::clone(self).run_invocation(request, holds_lock, reentrant);
-                }
-                Admission::Forward(request) => {
-                    // Forwarding may wait out a stale placement
-                    // (work-while-waiting on a reactor).
-                    let _ = self.send_request(request);
-                }
-                Admission::Done => {}
+            if let Some((request, holds_lock)) = run {
+                Arc::clone(self).invocation_loop(request, holds_lock, None);
             }
             // The invocation (and any mailbox continuations it drained) has
-            // completed or parked: release exactly the guard this pop took
-            // (a concurrent drain of the same shard may hold its own).
+            // completed or parked: release the guard this pop took.
             self.pool.release_busy_actor(shard, &target);
-            // A blocking wait inside the invocation yielded the claim: this
-            // frame no longer owns the shard. (Nested frames pushed and
-            // popped their own entries in LIFO order, so the top is ours.)
-            yielded = SHARD_CLAIMS
-                .with(|stack| stack.borrow().last().map(|top| top.yielded).unwrap_or(true));
-            if yielded {
-                break;
-            }
         }
-        SHARD_CLAIMS.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-        if !yielded {
-            self.pool.release_claim(shard);
-        }
+        self.pool.release_claim(shard);
         did
     }
 
@@ -2341,6 +2186,9 @@ impl ComponentCore {
         if self.pump_retries() {
             self.wakeup.notify();
         }
+        // Repairs made without a local cache clear (a placement rewritten
+        // when a fresh component joins) reach held forwards within a tick.
+        self.readmit_unresolved_forwards();
         self.sweep_orphan_responses(now);
         self.sweep_retirement();
         self.sweep_passivation(now);

@@ -19,6 +19,14 @@ pub enum CancellationPolicy {
     Cancel,
 }
 
+/// Paper-scale heartbeat period of every component, compressed by
+/// [`MeshConfig::time_scale`]. It is also the mesh timer's tick.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
+
+/// Paper-scale membership stabilization window (the consensus phase of
+/// Fig. 7a), compressed by [`MeshConfig::time_scale`].
+const REBALANCE_STABILIZATION: Duration = Duration::from_millis(2400);
+
 /// Configuration of a [`Mesh`](crate::Mesh).
 #[derive(Debug, Clone)]
 pub struct MeshConfig {
@@ -33,20 +41,10 @@ pub struct MeshConfig {
     /// Paper-scale session timeout before a silent component is declared
     /// failed (default 10 s, compressed by `time_scale`).
     pub session_timeout: Duration,
-    /// Paper-scale membership stabilization window (consensus phase,
-    /// default 2.4 s, compressed by `time_scale`).
-    pub rebalance_stabilization: Duration,
-    /// Paper-scale heartbeat period (default 1 s, compressed by `time_scale`).
-    pub heartbeat_interval: Duration,
-    /// Paper-scale pacing of the reconciliation leader per re-homed message
-    /// (models the cost of cataloguing/copying messages; default 40 ms,
-    /// compressed by `time_scale`).
-    pub reconciliation_per_message: Duration,
-    /// Paper-scale fixed overhead of one reconciliation round (default 6 s,
-    /// compressed by `time_scale`).
-    pub reconciliation_base: Duration,
-    /// How long a blocking call waits for its response before giving up
-    /// (wall-clock, not scaled). Must comfortably exceed one recovery cycle.
+    /// How long a call waits for its response before giving up (wall-clock,
+    /// not scaled): a client's blocking `Client::call`, and a parked
+    /// `CallThen` continuation, which is resumed with a timeout error past
+    /// it. Must comfortably exceed one recovery cycle.
     pub call_timeout: Duration,
     /// Message retention in the queues (paper default: 10 minutes).
     pub retention: Duration,
@@ -193,10 +191,6 @@ impl Default for MeshConfig {
             latency: LatencyProfile::ZERO,
             time_scale: TimeScale::REAL_TIME,
             session_timeout: Duration::from_secs(10),
-            rebalance_stabilization: Duration::from_millis(2400),
-            heartbeat_interval: Duration::from_secs(1),
-            reconciliation_per_message: Duration::from_millis(40),
-            reconciliation_base: Duration::from_secs(6),
             call_timeout: Duration::from_secs(120),
             retention: Duration::from_secs(600),
             placement_cache: true,
@@ -495,9 +489,9 @@ impl MeshConfig {
         self.time_scale.compress(self.session_timeout)
     }
 
-    /// The compressed (wall-clock) heartbeat interval.
+    /// The compressed (wall-clock) heartbeat interval: 1 s at paper scale.
     pub fn scaled_heartbeat_interval(&self) -> Duration {
-        self.time_scale.compress(self.heartbeat_interval)
+        self.time_scale.compress(HEARTBEAT_INTERVAL)
     }
 
     /// Arms the mesh with a gray-failure plan: seeded transient faults,
@@ -516,7 +510,7 @@ impl MeshConfig {
     pub fn broker_config(&self) -> BrokerConfig {
         BrokerConfig {
             session_timeout: self.time_scale.compress(self.session_timeout),
-            rebalance_stabilization: self.time_scale.compress(self.rebalance_stabilization),
+            rebalance_stabilization: self.time_scale.compress(REBALANCE_STABILIZATION),
             // Retention lives on the same compressed clock as the rest of the
             // failure-recovery machinery.
             retention: self.time_scale.compress(self.retention),
@@ -551,7 +545,10 @@ mod tests {
     fn defaults_match_paper_scale() {
         let c = MeshConfig::default();
         assert_eq!(c.session_timeout, Duration::from_secs(10));
-        assert_eq!(c.rebalance_stabilization, Duration::from_millis(2400));
+        assert_eq!(
+            c.broker_config().rebalance_stabilization,
+            Duration::from_millis(2400)
+        );
         assert_eq!(c.retention, Duration::from_secs(600));
         assert!(c.placement_cache);
         assert_eq!(c.cancellation, CancellationPolicy::Await);

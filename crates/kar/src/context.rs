@@ -11,8 +11,9 @@ use crate::component::ComponentCore;
 /// The context of one actor method invocation.
 ///
 /// It identifies the actor instance and the request being executed, and gives
-/// access to nested invocations ([`ActorContext::call`], [`ActorContext::tell`])
-/// and to the persistence API ([`ActorContext::state`]).
+/// access to nested invocations ([`ActorContext::call_then`],
+/// [`ActorContext::tell`]) and to the persistence API
+/// ([`ActorContext::state`]).
 pub struct ActorContext<'a> {
     core: &'a Arc<ComponentCore>,
     request: &'a RequestMessage,
@@ -61,45 +62,6 @@ impl<'a> ActorContext<'a> {
         self.request.retry.as_ref().map_or(0, |retry| retry.attempt)
     }
 
-    /// Performs a blocking nested call to `target.method(args)` and returns
-    /// its result.
-    ///
-    /// The callee may call back into this actor (reentrancy): nested calls
-    /// that stay within the current call chain bypass the actor mailbox
-    /// (§2.2).
-    ///
-    /// # Errors
-    ///
-    /// Application errors raised by the callee are propagated. Infrastructure
-    /// errors (`Killed`, `Fenced`, `Timeout`) indicate the invocation was
-    /// interrupted; retry orchestration takes over.
-    pub fn call(&self, target: &ActorRef, method: &str, args: Vec<Value>) -> KarResult<Value> {
-        self.core
-            .nested_call(self.request, &self.self_ref, target, method, args, None)
-    }
-
-    /// [`ActorContext::call`] with an explicit [`RetryPolicy`]: failed
-    /// attempts of the nested request are retried on the policy's schedule —
-    /// persisted in the request record, so it survives the failure and
-    /// re-homing of the callee's component — before this caller sees an
-    /// error.
-    pub fn call_with_policy(
-        &self,
-        target: &ActorRef,
-        method: &str,
-        args: Vec<Value>,
-        policy: RetryPolicy,
-    ) -> KarResult<Value> {
-        self.core.nested_call(
-            self.request,
-            &self.self_ref,
-            target,
-            method,
-            args,
-            Some(policy),
-        )
-    }
-
     /// Issues an asynchronous invocation of `target.method(args)`. The call
     /// returns once the request has been durably enqueued; errors raised by
     /// the callee are logged and discarded (§2).
@@ -109,21 +71,21 @@ impl<'a> ActorContext<'a> {
     /// Fails if the request could not be enqueued (for example because this
     /// component has been fenced).
     pub fn tell(&self, target: &ActorRef, method: &str, args: Vec<Value>) -> KarResult<()> {
-        self.core.nested_tell(self.request, target, method, args)
+        self.core.tell(target, method, args)
     }
 
-    /// Builds a parked nested call: `target.method(args)` is issued when the
+    /// Builds a parked nested call, the only way a handler calls another
+    /// actor and uses the result: `target.method(args)` is issued when the
     /// current method returns this outcome, and `then` resumes with the
-    /// result when the response record arrives — without blocking a runtime
-    /// thread in between.
+    /// result when the response record arrives — no runtime thread waits in
+    /// between (the paper's `await actor.call(...)`, §2).
     ///
-    /// Semantically this is [`ActorContext::call`] in continuation-passing
-    /// style: the actor stays locked while parked (its mailbox queues behind
-    /// the invocation, reentrant calls along the lineage still bypass it),
-    /// and a failure while parked retries the whole handler from the queue
-    /// copy of the original request. In-memory state captured by `then` is
-    /// lost on such a retry, like all in-memory actor state; durable state
-    /// belongs in [`ActorContext::state`].
+    /// The actor stays locked while parked (its mailbox queues behind the
+    /// invocation; reentrant calls along the lineage bypass it and run on
+    /// the parked instance), and a failure while parked retries the whole
+    /// handler from the queue copy of the original request. In-memory state
+    /// captured by `then` is lost on such a retry, like all in-memory actor
+    /// state; durable state belongs in [`ActorContext::state`].
     pub fn call_then(
         &self,
         target: &ActorRef,

@@ -74,11 +74,9 @@ pub(crate) struct ParkedContinuation {
     /// set and still holding its actor busy, so recovery and per-actor FIFO
     /// see a parked invocation exactly like a running one.
     pub request: kar_types::RequestMessage,
-    /// Whether the original invocation holds the actor lock (mirrors
-    /// `run_invocation`'s `holds_lock`).
+    /// Whether the original invocation holds the actor lock (a reentrant
+    /// frame does not).
     pub holds_lock: bool,
-    /// Whether the original invocation was admitted reentrantly.
-    pub reentrant: bool,
     /// When the nested call times out; the sweep resumes the continuation
     /// with [`kar_types::KarError::Timeout`] past this instant.
     pub deadline: Duration,
@@ -164,7 +162,6 @@ mod tests {
                 Vec::new(),
             ),
             holds_lock: true,
-            reentrant: false,
             deadline,
             then: Continuation::new(|_, input| input.map(Outcome::Value)),
         }

@@ -15,11 +15,12 @@
 //!   overridden when the actor is stolen — see below), so all of its
 //!   requests arrive at the per-actor mailbox in queue order;
 //! * a shard's claim ([`DispatchPool::try_claim`]) is held from pop through
-//!   admission, so admission for a given actor is serial — two reactors can
-//!   never interleave pops of one shard;
-//! * the per-actor lock / reentrancy / tail-call retention rules of
-//!   `run_invocation` are untouched — they serialize execution per actor no
-//!   matter which reactor runs it.
+//!   admission *and* the invocation, so admission for a given actor is
+//!   serial — two reactors can never interleave pops of one shard — and one
+//!   shard runs one invocation at a time;
+//! * the per-actor lock / reentrancy / tail-call retention rules of the
+//!   component's invocation loop serialize execution per actor no matter
+//!   which reactor runs it.
 //!
 //! Work stealing: static actor→shard hashing leaves the worst shard with up
 //! to ~2× the mean load. A reactor that finds every
@@ -37,12 +38,12 @@
 //! FIFO admission — and with it mailbox order and the exactly-once retry
 //! bookkeeping — is preserved.
 //!
-//! There is no blocking hand-off anymore: a handler that issues a nested
-//! call parks a continuation (see [`crate::continuation`]) instead of
-//! blocking the thread, and the legacy blocking [`crate::ActorContext::call`]
-//! pumps the reactor registry while it waits — either way the shard claim
-//! was already released after admission, so a shard is never stalled behind
-//! a suspended invocation and no replacement thread is ever spawned.
+//! Nothing ever waits while holding a claim: a handler that issues a nested
+//! call returns [`crate::Outcome::CallThen`] and parks a continuation (see
+//! [`crate::continuation`]), and a forward whose placement is stale is held
+//! aside until the placement is repaired. Either way the invocation returns
+//! to the drain loop at once, so a shard is never stalled behind a suspended
+//! invocation.
 //!
 //! Recovery interaction: requests that have been polled off the queue but
 //! not yet admitted to an actor mailbox are tracked in a pending set that
@@ -85,15 +86,12 @@ const STEAL_WAKEUP_DEPTH: usize = 4;
 struct ShardState {
     queue: VecDeque<RequestMessage>,
     /// Actors whose popped requests are currently being handled — from pop
-    /// until the invocation (if any) completes. A thief never steals these
-    /// actors: before admission that would reorder the actor's mailbox, and
-    /// during execution the stolen requests would just land in the mailbox
-    /// the busy reactor is already draining, moving the load counter without
-    /// moving any work. A small *list*, not a single slot: the shard claim
-    /// is released after admission while the invocation still runs, so
-    /// several reactors can be executing (or parked on continuations) for
-    /// one shard's actors at once, and each must guard — and later release —
-    /// its own actor without clobbering the others'.
+    /// until the invocation (if any) completes or parks. A thief never
+    /// steals these actors: before admission that would reorder the actor's
+    /// mailbox, and during execution the stolen requests would just land in
+    /// the mailbox the busy reactor is already draining, moving the load
+    /// counter without moving any work. Each drainer releases exactly the
+    /// actor it popped.
     busy_actors: Vec<ActorRef>,
 }
 
@@ -413,11 +411,11 @@ impl DispatchPool {
         self.shards[shard].depth.load(Ordering::Relaxed)
     }
 
-    /// Claims the pop+admit critical section of `shard`. Returns false if
-    /// another reactor holds it. The claim must be held from pop through
+    /// Claims the pop+admit+run critical section of `shard`. Returns false
+    /// if another reactor holds it. The claim must be held from pop through
     /// admission (that's what serializes admission per shard, and with it
-    /// per-actor FIFO) and released before running the invocation, so a slow
-    /// handler never stalls its shard.
+    /// per-actor FIFO); the component keeps it across the invocation too,
+    /// which never waits.
     pub(crate) fn try_claim(&self, shard: usize) -> bool {
         self.shards[shard]
             .claimed

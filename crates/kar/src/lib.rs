@@ -8,8 +8,8 @@
 //! Applications are made of [`Actor`]s. Actor methods are invoked indirectly
 //! through the runtime so invocation requests can be persisted and retried:
 //!
-//! * [`ActorContext::call`] — blocking nested call (reentrant along the call
-//!   chain),
+//! * [`ActorContext::call_then`] — nested call whose continuation parks
+//!   until the response arrives (reentrant along the call chain),
 //! * [`ActorContext::tell`] — asynchronous invocation,
 //! * [`Outcome::tail_call`] — tail call: atomically completes the current
 //!   method while issuing the next invocation; a tail call to the same actor

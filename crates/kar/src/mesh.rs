@@ -1,9 +1,8 @@
 //! The application mesh: nodes, components, clients and fault injection.
 
-use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -66,6 +65,17 @@ struct ReactorShared {
 }
 
 impl ReactorShared {
+    /// One sweep over every registered component's lanes, shards and
+    /// timeouts. Returns true if any work was done.
+    fn pump_all(&self) -> bool {
+        let components: Vec<Arc<ComponentCore>> = self.registry.read().clone();
+        let mut did = false;
+        for core in &components {
+            did |= core.pump();
+        }
+        did
+    }
+
     /// Runs one exclusive tick sweep over every registered component and
     /// stamps its completion time. The timer thread passes `blocking = true`
     /// (it always sweeps); rescuing reactors pass `false` and yield when a
@@ -105,61 +115,12 @@ impl ReactorShared {
     }
 }
 
-thread_local! {
-    /// Set once at reactor-thread startup; lets blocking waits on a reactor
-    /// pump the pool instead of going idle (work-while-waiting).
-    static CURRENT_REACTOR: RefCell<Option<Weak<ReactorShared>>> = const { RefCell::new(None) };
-    /// Reentrant pump depth of this thread. Pumping can run an invocation
-    /// whose blocking call pumps again; the cap bounds stack growth.
-    static PUMP_DEPTH: Cell<usize> = const { Cell::new(0) };
-}
-
-const MAX_PUMP_DEPTH: usize = 32;
-
-/// True on a thread of the mesh reactor pool.
-pub(crate) fn on_reactor_thread() -> bool {
-    CURRENT_REACTOR.with(|slot| slot.borrow().is_some())
-}
-
-/// Runs one pump sweep of the current thread's reactor pool, if this thread
-/// is a reactor and the reentrancy cap allows. Returns true if any work was
-/// done — callers parked in a blocking wait use this to stay productive
-/// instead of sleeping while their own pool starves.
-pub(crate) fn pump_current_reactor() -> bool {
-    let shared = CURRENT_REACTOR.with(|slot| slot.borrow().as_ref().and_then(Weak::upgrade));
-    let Some(shared) = shared else { return false };
-    PUMP_DEPTH.with(|depth| {
-        if depth.get() >= MAX_PUMP_DEPTH {
-            return false;
-        }
-        depth.set(depth.get() + 1);
-        let components: Vec<Arc<ComponentCore>> = shared.registry.read().clone();
-        let mut did = false;
-        for core in &components {
-            did |= core.pump();
-        }
-        // Work-while-waiting threads are exactly where the timer lane
-        // starves (every reactor parked inside a blocking call), so the
-        // rescue runs here too.
-        if shared.tick_overdue() {
-            did |= shared.run_tick(false);
-        }
-        depth.set(depth.get() - 1);
-        did
-    })
-}
-
 /// Body of one reactor thread: sweep every registered component, park on the
 /// shared wakeup group when a full sweep finds nothing.
 fn reactor_loop(shared: Arc<ReactorShared>) {
-    CURRENT_REACTOR.with(|slot| *slot.borrow_mut() = Some(Arc::downgrade(&shared)));
     while !shared.shutdown.load(Ordering::SeqCst) {
         let seen = shared.group.current();
-        let components: Vec<Arc<ComponentCore>> = shared.registry.read().clone();
-        let mut did = false;
-        for core in &components {
-            did |= core.pump();
-        }
+        let mut did = shared.pump_all();
         if shared.tick_overdue() {
             did |= shared.run_tick(false);
         }
@@ -167,7 +128,6 @@ fn reactor_loop(shared: Arc<ReactorShared>) {
             shared.group.wait(seen, Duration::from_millis(2));
         }
     }
-    CURRENT_REACTOR.with(|slot| *slot.borrow_mut() = None);
 }
 
 /// Body of the single timer thread: heartbeats, retry-bookkeeping aging,
@@ -383,14 +343,7 @@ impl Mesh {
                 // whether it made progress; when none does, the scheduler
                 // advances the virtual clock by one idle quantum.
                 let shared = Arc::clone(&inner.reactors);
-                sim.add_lane("reactor", move || {
-                    let components: Vec<Arc<ComponentCore>> = shared.registry.read().clone();
-                    let mut did = false;
-                    for core in &components {
-                        did |= core.pump();
-                    }
-                    did
-                });
+                sim.add_lane("reactor", move || shared.pump_all());
                 let shared = Arc::clone(&inner.reactors);
                 let next_tick = std::cell::Cell::new(Duration::ZERO);
                 sim.add_lane("timer", move || {
@@ -554,12 +507,6 @@ impl Mesh {
     // ------------------------------------------------------------------
     // Deterministic simulation
     // ------------------------------------------------------------------
-
-    /// True when this mesh runs in deterministic simulation mode (built
-    /// from [`MeshConfig::deterministic`]).
-    pub fn is_simulated(&self) -> bool {
-        self.inner.config.sim_seed.is_some()
-    }
 
     /// Runs `steps` scheduler steps. Simulation mode only (panics
     /// otherwise — stepping a threaded mesh is meaningless).
@@ -897,7 +844,7 @@ impl Mesh {
                 "no live component to re-inject the dead-lettered request through",
             ));
         };
-        match core.external_tell(&entry.target, &entry.method, args) {
+        match core.tell(&entry.target, &entry.method, args) {
             Ok(()) => {
                 // Release the marker; the entry is gone, so later calls
                 // return `false` at the pre-check.
@@ -1058,11 +1005,12 @@ mod tests {
             args: &[Value],
         ) -> KarResult<Outcome> {
             match method {
-                "main" => {
-                    let result =
-                        ctx.call(&ActorRef::new("B", "b"), "task", vec![args[0].clone()])?;
-                    Ok(Outcome::value(result))
-                }
+                "main" => Ok(ctx.call_then(
+                    &ActorRef::new("B", "b"),
+                    "task",
+                    vec![args[0].clone()],
+                    |_, result| Ok(Outcome::value(result?)),
+                )),
                 "callback" => Ok(Outcome::value(Value::from(format!(
                     "callback({})",
                     args[0].as_i64().unwrap_or(-1)
@@ -1080,11 +1028,12 @@ mod tests {
             args: &[Value],
         ) -> KarResult<Outcome> {
             match method {
-                "task" => {
-                    let result =
-                        ctx.call(&ActorRef::new("A", "a"), "callback", vec![args[0].clone()])?;
-                    Ok(Outcome::value(result))
-                }
+                "task" => Ok(ctx.call_then(
+                    &ActorRef::new("A", "a"),
+                    "callback",
+                    vec![args[0].clone()],
+                    |_, result| Ok(Outcome::value(result?)),
+                )),
                 other => Err(KarError::application(format!("no method {other}"))),
             }
         }

@@ -11,12 +11,11 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
 use kar_store::Connection;
-use kar_types::{ActorRef, ComponentId, KarError, KarResult, Value, WaitSignal};
+use kar_types::{ActorRef, ComponentId, KarError, KarResult, Value};
 
 /// The set of components currently believed to be live, shared by every
 /// component of a mesh and refreshed on every completed rebalance.
@@ -103,13 +102,6 @@ pub struct PlacementService {
     conn: Connection,
     live: LiveSet,
     cache: Option<ShardedCache>,
-    lookup_timeout: Duration,
-    /// Bumped by [`PlacementService::clear_cache`] (recovery completed on
-    /// this component, so stale placements have been repaired). Resolvers
-    /// waiting out a stale placement park here — the `poll_wait` condvar
-    /// idiom of `response_partition`/`wait_for_recoveries` — instead of
-    /// sleep-polling the store every 2 ms.
-    repaired: WaitSignal,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -119,19 +111,11 @@ pub struct PlacementService {
 impl PlacementService {
     /// Creates a placement service using the given (fenced) store connection.
     /// `cache_shards` is ignored when the cache is disabled.
-    pub fn new(
-        conn: Connection,
-        live: LiveSet,
-        cache_enabled: bool,
-        cache_shards: usize,
-        lookup_timeout: Duration,
-    ) -> Self {
+    pub fn new(conn: Connection, live: LiveSet, cache_enabled: bool, cache_shards: usize) -> Self {
         PlacementService {
             conn,
             live,
             cache: cache_enabled.then(|| ShardedCache::new(cache_shards)),
-            lookup_timeout,
-            repaired: WaitSignal::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
@@ -164,10 +148,6 @@ impl PlacementService {
             cache.epoch.fetch_add(1, Ordering::AcqRel);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
-        // Recovery just repaired placements: wake resolvers parked on a
-        // stale one. Bumped outside the cache guard so cache-less services
-        // still wake their waiters.
-        self.repaired.bump();
     }
 
     /// Drops one actor's cached placement (passivation: the actor's whole
@@ -205,22 +185,6 @@ impl PlacementService {
     /// Number of cache shards (0 when the cache is disabled).
     pub fn cache_shards(&self) -> usize {
         self.cache.as_ref().map_or(0, |cache| cache.shards.len())
-    }
-
-    /// Current repair-signal sequence. Pair with
-    /// [`PlacementService::wait_for_repair`]: snapshot before a
-    /// [`PlacementService::resolve_nowait`] attempt, so a repair landing
-    /// between the lookup and the wait wakes the waiter at once.
-    pub fn repair_epoch(&self) -> u64 {
-        self.repaired.current()
-    }
-
-    /// Parks until a reconciliation repair lands (the repair signal moves
-    /// past `seen`) or `timeout` expires. Callers that interleave their own
-    /// work with bounded waits — the reactors' work-while-waiting — use this
-    /// instead of the blocking [`PlacementService::resolve`].
-    pub fn wait_for_repair(&self, seen: u64, timeout: std::time::Duration) {
-        self.repaired.wait(seen, timeout);
     }
 
     /// A snapshot of the hit/miss/invalidation counters.
@@ -283,70 +247,18 @@ impl PlacementService {
         self.cache.as_ref().map_or(0, ShardedCache::current_epoch)
     }
 
-    /// Resolves the component hosting `actor`, placing the actor on a
-    /// compatible live component if it has no placement yet.
-    ///
-    /// If the recorded placement points to a component that is not live the
-    /// lookup waits (bounded by the configured timeout) for reconciliation to
-    /// invalidate or rewrite it rather than double-placing the actor.
+    /// Resolves the component hosting `actor` in one placement attempt,
+    /// placing the actor on a compatible live component if it has no
+    /// placement yet. Never waits: `Ok(None)` means the recorded placement
+    /// points at a failed component and reconciliation has not repaired it
+    /// yet. The runtime then keeps the request durable in a queue and
+    /// resolves again after the repair, instead of double-placing the actor.
     ///
     /// # Errors
     ///
     /// Fails with [`KarError::NoHostForActorType`] if no live component hosts
-    /// the actor's type, with [`KarError::Timeout`] if a stale placement is
-    /// not repaired in time, or with a store error if the component has been
+    /// the actor's type, or with a store error if the component has been
     /// fenced.
-    pub fn resolve(&self, actor: &ActorRef) -> KarResult<ComponentId> {
-        if let Some(component) = self.cache_lookup(actor) {
-            return Ok(component);
-        }
-        let deadline = kar_types::mono_now() + self.lookup_timeout;
-        // Waiting for repair parks on the repair signal (bumped when recovery
-        // completes here) rather than sleep-polling. Each wait is capped so
-        // repairs made without a local cache clear — e.g. the leader
-        // rewriting a placement while re-homing an orphan when a fresh
-        // component joins — are still picked up promptly.
-        let wait_slice = Duration::from_millis(20);
-        loop {
-            // Snapshot the signal before the store lookup: a repair landing
-            // between the lookup and the wait wakes us immediately.
-            let seen = self.repaired.current();
-            let epoch = self.cache_epoch();
-            match self.resolve_uncached(actor)? {
-                Some(component) => {
-                    self.cache_insert(actor, component, epoch);
-                    return Ok(component);
-                }
-                None => {
-                    let now = kar_types::mono_now();
-                    if now >= deadline {
-                        return Err(KarError::Timeout {
-                            request: kar_types::RequestId::from_raw(0),
-                            after_ms: self.lookup_timeout.as_millis() as u64,
-                        });
-                    }
-                    if kar_types::sim::active() {
-                        // Simulation: drive the scheduler instead of parking;
-                        // repairs land from the lanes it runs.
-                        kar_types::sim::step();
-                    } else {
-                        self.repaired
-                            .wait(seen, wait_slice.min(deadline.saturating_sub(now)));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Non-blocking variant of [`PlacementService::resolve`]: one placement
-    /// attempt. Returns `Ok(None)` when resolution would have to wait for
-    /// reconciliation to repair a stale placement — the caller can then
-    /// release resources (e.g. a dispatch shard) before retrying with the
-    /// blocking [`PlacementService::resolve`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PlacementService::resolve`], minus the timeout.
     pub fn resolve_nowait(&self, actor: &ActorRef) -> KarResult<Option<ComponentId>> {
         if let Some(component) = self.cache_lookup(actor) {
             return Ok(Some(component));
@@ -440,6 +352,7 @@ pub fn component_from_value(value: &Value) -> Option<ComponentId> {
 mod tests {
     use super::*;
     use kar_store::Store;
+    use std::time::Duration;
 
     fn live(ids: &[u64]) -> LiveSet {
         Arc::new(RwLock::new(
@@ -462,7 +375,6 @@ mod tests {
             live_set.clone(),
             cache,
             4,
-            Duration::from_millis(100),
         )
     }
 
@@ -474,13 +386,13 @@ mod tests {
         let live_set = live(&[1, 2]);
         let placement = service(&store, 1, &live_set, true);
         let actor = ActorRef::new("Order", "o-1");
-        let first = placement.resolve(&actor).unwrap();
+        let first = placement.resolve_nowait(&actor).unwrap().unwrap();
         assert!(matches!(first.as_u64(), 1 | 2));
         assert_eq!(placement.cache_len(), 1);
         // A second resolve from another component agrees (placement is
         // coordinated through the store, not local state).
         let other = service(&store, 2, &live_set, true);
-        assert_eq!(other.resolve(&actor).unwrap(), first);
+        assert_eq!(other.resolve_nowait(&actor).unwrap().unwrap(), first);
     }
 
     #[test]
@@ -488,7 +400,9 @@ mod tests {
         let store = Store::new();
         let live_set = live(&[1]);
         let placement = service(&store, 1, &live_set, true);
-        let err = placement.resolve(&ActorRef::new("Ghost", "g")).unwrap_err();
+        let err = placement
+            .resolve_nowait(&ActorRef::new("Ghost", "g"))
+            .unwrap_err();
         assert!(matches!(err, KarError::NoHostForActorType { .. }));
     }
 
@@ -501,14 +415,15 @@ mod tests {
         let placement = service(&store, 2, &live_set, true);
         for i in 0..8 {
             let c = placement
-                .resolve(&ActorRef::new("Order", format!("o-{i}")))
+                .resolve_nowait(&ActorRef::new("Order", format!("o-{i}")))
+                .unwrap()
                 .unwrap();
             assert_eq!(c, ComponentId::from_raw(2));
         }
     }
 
     #[test]
-    fn stale_placement_waits_for_repair_and_times_out() {
+    fn stale_placement_resolves_to_none_until_repaired() {
         let store = Store::new();
         announce(&store, "Order", 2);
         let live_set = live(&[2]);
@@ -522,9 +437,10 @@ mod tests {
                 component_to_value(ComponentId::from_raw(9)),
             )
             .unwrap();
-        let err = placement.resolve(&actor).unwrap_err();
-        assert!(matches!(err, KarError::Timeout { .. }));
-        // Once reconciliation rewrites the placement, resolve succeeds.
+        // Stale: no answer, and no second placement on the live host.
+        assert_eq!(placement.resolve_nowait(&actor).unwrap(), None);
+        assert_eq!(placement.resolve_nowait(&actor).unwrap(), None);
+        // Once reconciliation rewrites the placement, resolution succeeds.
         store
             .connect(ComponentId::from_raw(2))
             .set(
@@ -532,7 +448,10 @@ mod tests {
                 component_to_value(ComponentId::from_raw(2)),
             )
             .unwrap();
-        assert_eq!(placement.resolve(&actor).unwrap(), ComponentId::from_raw(2));
+        assert_eq!(
+            placement.resolve_nowait(&actor).unwrap().unwrap(),
+            ComponentId::from_raw(2)
+        );
     }
 
     #[test]
@@ -541,11 +460,17 @@ mod tests {
         announce(&store, "Order", 1);
         let live_set = live(&[1]);
         let without_cache = service(&store, 1, &live_set, false);
-        without_cache.resolve(&ActorRef::new("Order", "o")).unwrap();
+        without_cache
+            .resolve_nowait(&ActorRef::new("Order", "o"))
+            .unwrap()
+            .unwrap();
         assert_eq!(without_cache.cache_len(), 0);
 
         let with_cache = service(&store, 1, &live_set, true);
-        with_cache.resolve(&ActorRef::new("Order", "o")).unwrap();
+        with_cache
+            .resolve_nowait(&ActorRef::new("Order", "o"))
+            .unwrap()
+            .unwrap();
         assert_eq!(with_cache.cache_len(), 1);
         with_cache.clear_cache();
         assert_eq!(with_cache.cache_len(), 0);
@@ -559,7 +484,7 @@ mod tests {
         let live_set = live(&[1, 2]);
         let placement = service(&store, 1, &live_set, true);
         let actor = ActorRef::new("Order", "o");
-        let first = placement.resolve(&actor).unwrap();
+        let first = placement.resolve_nowait(&actor).unwrap().unwrap();
         // The placed component dies; reconciliation rewrites the placement.
         live_set.write().remove(&first);
         let survivor = if first == ComponentId::from_raw(1) {
@@ -575,7 +500,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            placement.resolve(&actor).unwrap(),
+            placement.resolve_nowait(&actor).unwrap().unwrap(),
             ComponentId::from_raw(survivor)
         );
     }
@@ -595,7 +520,7 @@ mod tests {
             let actor = actor.clone();
             handles.push(std::thread::spawn(move || {
                 let placement = service(&store, i, &live_set, true);
-                placement.resolve(&actor).unwrap()
+                placement.resolve_nowait(&actor).unwrap().unwrap()
             }));
         }
         let results: Vec<ComponentId> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -613,9 +538,9 @@ mod tests {
         let placement = service(&store, 1, &live_set, true);
         let actor = ActorRef::new("Order", "o");
         assert_eq!(placement.counters(), PlacementCounters::default());
-        placement.resolve(&actor).unwrap(); // cold: miss
-        placement.resolve(&actor).unwrap(); // cached: hit
-        placement.resolve(&actor).unwrap(); // cached: hit
+        placement.resolve_nowait(&actor).unwrap().unwrap(); // cold: miss
+        placement.resolve_nowait(&actor).unwrap().unwrap(); // cached: hit
+        placement.resolve_nowait(&actor).unwrap().unwrap(); // cached: hit
         let counters = placement.counters();
         assert_eq!(counters.misses, 1);
         assert_eq!(counters.hits, 2);
@@ -624,7 +549,7 @@ mod tests {
         // lazily evicts the stale entry (a second invalidation).
         placement.clear_cache();
         assert_eq!(placement.cache_len(), 0, "stale epoch entries don't count");
-        placement.resolve(&actor).unwrap();
+        placement.resolve_nowait(&actor).unwrap().unwrap();
         let counters = placement.counters();
         assert_eq!(counters.misses, 2);
         assert_eq!(counters.invalidations, 2);
@@ -639,8 +564,8 @@ mod tests {
         let placement = service(&store, 1, &live_set, false);
         assert_eq!(placement.cache_shards(), 0);
         let actor = ActorRef::new("Order", "o");
-        placement.resolve(&actor).unwrap();
-        placement.resolve(&actor).unwrap();
+        placement.resolve_nowait(&actor).unwrap().unwrap();
+        placement.resolve_nowait(&actor).unwrap().unwrap();
         let counters = placement.counters();
         assert_eq!(counters.hits, 0);
         assert_eq!(counters.misses, 2);
@@ -657,7 +582,8 @@ mod tests {
         assert_eq!(placement.cache_shards(), 4);
         for i in 0..64 {
             placement
-                .resolve(&ActorRef::new("Order", format!("o-{i}")))
+                .resolve_nowait(&ActorRef::new("Order", format!("o-{i}")))
+                .unwrap()
                 .unwrap();
         }
         assert_eq!(placement.cache_len(), 64);
@@ -666,55 +592,6 @@ mod tests {
         for shard in &cache.shards {
             assert!(!shard.lock().is_empty(), "a cache shard stayed empty");
         }
-    }
-
-    #[test]
-    fn resolve_parks_on_the_repair_signal_instead_of_polling() {
-        let store = Store::new();
-        announce(&store, "Order", 2);
-        let live_set = live(&[2]);
-        // A generous lookup timeout: if resolve returned only by timing out,
-        // the test would take 5 seconds and fail the elapsed bound.
-        let placement = Arc::new(PlacementService::new(
-            store.connect(ComponentId::from_raw(2)),
-            live_set.clone(),
-            true,
-            4,
-            Duration::from_secs(5),
-        ));
-        let actor = ActorRef::new("Order", "o-1");
-        // A stale placement pointing at dead component 9.
-        store
-            .connect(ComponentId::from_raw(2))
-            .set(
-                &placement_key(&actor),
-                component_to_value(ComponentId::from_raw(9)),
-            )
-            .unwrap();
-        // A repair thread rewrites the placement and signals the repair the
-        // way recovery does (clear_cache on resume).
-        let repair_store = store.clone();
-        let repair_placement = placement.clone();
-        let repair = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(40));
-            repair_store
-                .connect(ComponentId::from_raw(2))
-                .set(
-                    &placement_key(&ActorRef::new("Order", "o-1")),
-                    component_to_value(ComponentId::from_raw(2)),
-                )
-                .unwrap();
-            repair_placement.clear_cache();
-        });
-        let t0 = std::time::Instant::now();
-        let resolved = placement.resolve(&actor).unwrap();
-        let elapsed = t0.elapsed();
-        repair.join().unwrap();
-        assert_eq!(resolved, ComponentId::from_raw(2));
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "resolve slept past the repair signal: {elapsed:?}"
-        );
     }
 
     #[test]
@@ -732,7 +609,6 @@ mod tests {
             live_set.clone(),
             true,
             2,
-            Duration::from_millis(500),
         ));
         let actor = ActorRef::new("Order", "contended");
         store
@@ -742,7 +618,10 @@ mod tests {
                 component_to_value(ComponentId::from_raw(1)),
             )
             .unwrap();
-        assert_eq!(placement.resolve(&actor).unwrap(), ComponentId::from_raw(1));
+        assert_eq!(
+            placement.resolve_nowait(&actor).unwrap().unwrap(),
+            ComponentId::from_raw(1)
+        );
 
         // Readers hammer resolve while the "recovery" flips the placement.
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -759,11 +638,11 @@ mod tests {
                         // was already complete when we started, a stale
                         // answer is a genuine violation.
                         let flip_done = flipped.load(Ordering::SeqCst);
-                        let resolved = placement.resolve(&actor).unwrap();
+                        let resolved = placement.resolve_nowait(&actor).unwrap();
                         if flip_done {
                             assert_eq!(
                                 resolved,
-                                ComponentId::from_raw(2),
+                                Some(ComponentId::from_raw(2)),
                                 "stale placement served after clear_cache"
                             );
                         }
@@ -790,7 +669,10 @@ mod tests {
             reader.join().unwrap();
         }
         // And the service itself agrees immediately after the clear.
-        assert_eq!(placement.resolve(&actor).unwrap(), ComponentId::from_raw(2));
+        assert_eq!(
+            placement.resolve_nowait(&actor).unwrap().unwrap(),
+            ComponentId::from_raw(2)
+        );
     }
 
     #[test]

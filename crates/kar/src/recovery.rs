@@ -40,12 +40,21 @@ use parking_lot::{Mutex, RwLock};
 
 use kar_queue::{Broker, GroupEvent, PartitionSet};
 use kar_store::Store;
-use kar_types::{ComponentId, Envelope, RequestId, RequestMessage, ResponseMessage, Value};
+use kar_types::{ComponentId, Envelope, RequestId, RequestMessage, ResponseMessage};
 
 use crate::component::ComponentCore;
 use crate::config::MeshConfig;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::placement::{component_from_value, component_to_value, host_prefix, placement_key};
+
+/// Paper-scale fixed overhead of one reconciliation round (leader election
+/// and cataloguing setup), compressed by `MeshConfig::time_scale`.
+const RECONCILIATION_BASE: Duration = Duration::from_secs(6);
+
+/// Paper-scale pacing of the reconciliation leader per re-homed message (the
+/// cost of cataloguing and copying it), compressed by
+/// `MeshConfig::time_scale`.
+const RECONCILIATION_PER_MESSAGE: Duration = Duration::from_millis(40);
 
 /// Timings and size of one recovery (one completed rebalance that removed at
 /// least one component), mirroring the phases of Figure 7a / Table 1.
@@ -482,7 +491,7 @@ fn reconcile(
         ctx.store.fence(*component);
     }
     // Fixed leader overhead (election, cataloguing setup).
-    sleep_scaled(ctx, ctx.config.reconciliation_base);
+    sleep_scaled(ctx, RECONCILIATION_BASE);
 
     // 2. Catalog unexpired messages across every partition of every
     //    component's set (home and adopted). A request id counts as "pending
@@ -644,7 +653,7 @@ fn reconcile(
         if let Some((partition, request)) = rehome_decision(ctx, request, live, &mut rewrites) {
             batches.push(partition, request);
         }
-        sleep_scaled(ctx, ctx.config.reconciliation_per_message);
+        sleep_scaled(ctx, RECONCILIATION_PER_MESSAGE);
     }
     rewrites.flush_writes(ctx);
     let mut rehomed = batches.flush(ctx);
@@ -969,12 +978,6 @@ fn spread(key: &str, len: usize) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut hasher);
     (hasher.finish() as usize) % len
-}
-
-/// Placement value helpers re-exported for tests.
-#[allow(dead_code)]
-pub(crate) fn placement_value(component: ComponentId) -> Value {
-    component_to_value(component)
 }
 
 #[cfg(test)]

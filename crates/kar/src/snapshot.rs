@@ -150,7 +150,9 @@ pub struct ComponentSnapshot {
     pub deferred_on_callee: Option<Vec<(RequestId, Vec<RequestId>)>>,
     /// Requests currently executing, sorted.
     pub inflight: Option<Vec<RequestId>>,
-    /// Nested calls blocked waiting for their response, sorted.
+    /// Forwards held until a stale placement is repaired, sorted.
+    pub unresolved_forwards: Option<Vec<RequestId>>,
+    /// Client calls blocked waiting for their response, sorted.
     pub blocked_calls: Option<Vec<RequestId>>,
 }
 
@@ -417,6 +419,11 @@ impl fmt::Display for ComponentSnapshot {
             None => writeln!(f, "  deferred: <LOCK HELD>")?,
         }
         writeln!(f, "  inflight: {}", held(&self.inflight, id))?;
+        writeln!(
+            f,
+            "  forwards awaiting placement repair: {}",
+            held(&self.unresolved_forwards, id)
+        )?;
         writeln!(
             f,
             "  blocked calls waiting: {}",

@@ -232,3 +232,189 @@ fn kill_while_parked_preserves_exactly_once_and_fifo() {
     );
     mesh.shutdown();
 }
+
+/// The shared journal of the stale-placement test: one line per execution.
+type Journal = Arc<std::sync::Mutex<Vec<String>>>;
+
+fn journal_count(journal: &Journal, line: &str) -> usize {
+    journal
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|l| *l == line)
+        .count()
+}
+
+/// `record(tag)` journals one execution and returns the tag; `get` answers
+/// without touching the journal.
+struct Target {
+    journal: Journal,
+}
+
+impl Actor for Target {
+    fn invoke(
+        &mut self,
+        _ctx: &mut ActorContext<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "record" => {
+                let tag = args[0].as_str().unwrap_or_default().to_owned();
+                self.journal.lock().unwrap().push(tag.clone());
+                Ok(Outcome::value(tag))
+            }
+            "get" => Ok(Outcome::value("y")),
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+/// Sends one request of each fresh-send shape to `Target/x`. Each shape
+/// runs on its own `Sender` actor: a parked caller keeps its actor locked.
+struct Sender {
+    journal: Journal,
+}
+
+impl Actor for Sender {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        _args: &[Value],
+    ) -> KarResult<Outcome> {
+        let x = ActorRef::new("Target", "x");
+        match method {
+            "tell" => {
+                ctx.tell(&x, "record", vec![Value::from("tell")])?;
+                Ok(Outcome::value("told"))
+            }
+            "call" => {
+                let journal = Arc::clone(&self.journal);
+                Ok(
+                    ctx.call_then(&x, "record", vec![Value::from("call")], move |_, r| {
+                        journal.lock().unwrap().push("resumed".to_owned());
+                        Ok(Outcome::value(r?))
+                    }),
+                )
+            }
+            "tail" => Ok(ctx.tail_call(&x, "record", vec![Value::from("tail")])),
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+#[test]
+fn stale_placement_sends_wait_in_a_queue_not_on_the_reactor() {
+    // One reactor and one dispatch shard: a frame that waited for the stale
+    // placement would stall every other actor of the survivor.
+    let mesh = Mesh::new(
+        MeshConfig::for_tests()
+            .with_reactor_threads(1)
+            .with_dispatch_workers(1),
+    );
+    let journal: Journal = Arc::default();
+    let hosts = |journal: &Journal| {
+        let journal = Arc::clone(journal);
+        move || -> Box<dyn Actor> {
+            Box::new(Target {
+                journal: Arc::clone(&journal),
+            })
+        }
+    };
+    let victim = mesh.add_component(mesh.add_node(), "victim", |c| {
+        c.host("Target", hosts(&journal))
+    });
+    let sender_journal = Arc::clone(&journal);
+    let survivor = mesh.add_component(mesh.add_node(), "survivor", |c| {
+        c.host("Target", hosts(&journal)).host("Sender", move || {
+            Box::new(Sender {
+                journal: Arc::clone(&sender_journal),
+            })
+        })
+    });
+    let client = mesh.client();
+    let store = mesh.store();
+    let x = ActorRef::new("Target", "x");
+    let y = ActorRef::new("Target", "y");
+    let place = |actor: &ActorRef, on| {
+        store.admin_set(
+            &kar::placement::placement_key(actor),
+            kar::placement::component_to_value(on),
+        );
+    };
+    place(&x, victim);
+    place(&y, survivor);
+    assert_eq!(client.call(&y, "get", vec![]).unwrap(), Value::from("y"));
+
+    // Kill X's host and let recovery finish, then plant X's placement back
+    // on the dead component: the stale read a sender can take before
+    // reconciliation rewrites it.
+    mesh.kill_component(victim);
+    assert!(mesh.wait_for_recoveries(1, Duration::from_secs(10)));
+    place(&x, victim);
+
+    // A tell, a parked nested call and a tail call to X, all issued by a
+    // handler on the survivor while X's placement is stale.
+    let sender = |method: &str| ActorRef::new("Sender", method);
+    assert_eq!(
+        client.call(&sender("tell"), "tell", vec![]).unwrap(),
+        Value::from("told")
+    );
+    let waiting: Vec<_> = ["call", "tail"]
+        .into_iter()
+        .map(|method| {
+            let client = client.clone();
+            let sender = sender(method);
+            std::thread::spawn(move || client.call(&sender, method, vec![]))
+        })
+        .collect();
+    let held = || {
+        mesh.snapshot()
+            .component(survivor)
+            .and_then(|c| c.unresolved_forwards.clone())
+            .map_or(0, |ids| ids.len())
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while held() < 3 {
+        assert!(
+            Instant::now() < deadline,
+            "the three sends to X were never held:\n{}",
+            mesh.snapshot()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Y shares X's component and shard: its calls keep completing.
+    for _ in 0..20 {
+        assert_eq!(client.call(&y, "get", vec![]).unwrap(), Value::from("y"));
+    }
+    assert!(
+        journal.lock().unwrap().is_empty(),
+        "X ran on a stale placement: {:?}",
+        journal.lock().unwrap()
+    );
+
+    // Repair the placement: the held requests reach X, and the parked
+    // caller resumes.
+    place(&x, survivor);
+    let results: Vec<KarResult<Value>> = waiting.into_iter().map(|t| t.join().unwrap()).collect();
+    assert_eq!(results[0].as_ref().unwrap(), &Value::from("call"));
+    assert_eq!(results[1].as_ref().unwrap(), &Value::from("tail"));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while journal_count(&journal, "tell") == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Give any duplicate a chance to show before counting.
+    std::thread::sleep(Duration::from_millis(100));
+    for line in ["tell", "call", "tail", "resumed"] {
+        assert_eq!(
+            journal_count(&journal, line),
+            1,
+            "{line} must run exactly once: {:?}",
+            journal.lock().unwrap()
+        );
+    }
+    assert_eq!(held(), 0);
+    mesh.shutdown();
+}
