@@ -26,6 +26,7 @@
 //! overrides the default, and every run prints the effective seed — so a
 //! failing run replays exactly.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,7 +35,7 @@ use kar::faults::{BrownoutSpec, FaultPlan, FaultSpec};
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome, RetryPolicy};
 use kar_types::{ActorRef, KarResult, Value};
 
-use crate::report::{as_ms, as_us, ratio, sized, Bound, Gate, Section};
+use crate::report::{as_ms, as_us, median_of, ratio, sized, Bound, Gate, Section};
 
 /// Policy-arm goodput must stay within this factor of the fault-free arm.
 pub const GATE_MIN_RATIO: f64 = 0.8;
@@ -307,16 +308,6 @@ fn pair_ratios(reports: &[GrayFaultReport]) -> Vec<f64> {
         .collect()
 }
 
-/// The median of `values` (NaN when empty).
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(f64::total_cmp);
-    match values.len() {
-        0 => f64::NAN,
-        n if n % 2 == 1 => values[n / 2],
-        n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
-    }
-}
-
 /// The sweep rows (every run, in run order), gated on the median pair ratio
 /// of policy goodput over fault-free, on zero caller-visible errors in the
 /// policy runs, and on exactly-once persistence in every run:
@@ -362,7 +353,7 @@ fn section(config: &GrayFaultConfig, reports: &[GrayFaultReport]) -> Section {
     .value("pair_ratios", ratios.clone())
     .gate(Gate::new(
         "goodput_policy_over_clean",
-        median(ratios),
+        median_of(&ratios).unwrap_or(f64::NAN),
         Bound::AtLeast(GATE_MIN_RATIO),
     ))
     .gate(Gate::new(
@@ -370,8 +361,13 @@ fn section(config: &GrayFaultConfig, reports: &[GrayFaultReport]) -> Section {
         policy_errors,
         Bound::AtMost(0.0),
     ));
+    // One pair of gates per run, named by its arm and its place among that
+    // arm's rows (`policy_2_persisted_total`), so a failure points at a row.
+    let mut runs: HashMap<&str, usize> = HashMap::new();
     for r in reports {
-        let name = format!("{}_persisted_total", r.arm);
+        let run = runs.entry(r.arm).or_default();
+        *run += 1;
+        let name = format!("{}_{run}_persisted_total", r.arm);
         let persisted = r.persisted_total as f64;
         section = section
             .gate(Gate::new(&name, persisted, Bound::AtLeast(r.calls as f64)))
@@ -452,8 +448,8 @@ mod tests {
         ];
         for arm in ["clean", "policy", "naive"] {
             let (low, high) = bounds(arm);
-            expected.push((format!("{arm}_persisted_total"), Bound::AtLeast(low)));
-            expected.push((format!("{arm}_persisted_total"), Bound::AtMost(high)));
+            expected.push((format!("{arm}_1_persisted_total"), Bound::AtLeast(low)));
+            expected.push((format!("{arm}_1_persisted_total"), Bound::AtMost(high)));
         }
         let sections = vec![section(&config, &reports)];
         assert_eq!(gate_list(&sections), expected);
@@ -486,9 +482,9 @@ mod tests {
             run("naive", 10.0),
         ];
         assert_eq!(pair_ratios(&reports), vec![0.7, 1.0, 0.9]);
-        assert_eq!(median(pair_ratios(&reports)), 0.9);
-        assert_eq!(median(vec![0.7, 1.0]), 0.85);
-        assert!(median(Vec::new()).is_nan());
+        assert_eq!(median_of(&pair_ratios(&reports)), Some(0.9));
+        assert_eq!(median_of(&[0.7, 1.0]), Some(0.85));
+        assert_eq!(median_of::<f64>(&[]), None);
     }
 
     #[test]

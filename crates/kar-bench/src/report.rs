@@ -48,15 +48,10 @@ impl Summary {
             .map(|d| (d.as_secs_f64() - mean_secs).powi(2))
             .sum::<f64>()
             / n as f64;
-        let median = if n % 2 == 1 {
-            sorted[n / 2]
-        } else {
-            (sorted[n / 2 - 1] + sorted[n / 2]) / 2
-        };
         Some(Summary {
             average: mean,
             stddev: Duration::from_secs_f64(variance.sqrt()),
-            median,
+            median: median_of(&sorted)?,
             min: sorted[0],
             max: sorted[n - 1],
         })
@@ -83,9 +78,38 @@ pub fn millis(d: Duration) -> String {
 
 /// Computes the median of a series of durations.
 pub fn median(samples: &[Duration]) -> Duration {
-    Summary::of(samples)
-        .map(|s| s.median)
-        .unwrap_or(Duration::ZERO)
+    median_of(samples).unwrap_or(Duration::ZERO)
+}
+
+/// A sample type [`median_of`] can take the middle of.
+pub trait Midpoint: Copy + PartialOrd {
+    /// The value halfway between `self` and `other`.
+    fn midpoint(self, other: Self) -> Self;
+}
+
+impl Midpoint for Duration {
+    fn midpoint(self, other: Self) -> Self {
+        (self + other) / 2
+    }
+}
+
+impl Midpoint for f64 {
+    fn midpoint(self, other: Self) -> Self {
+        (self + other) / 2.0
+    }
+}
+
+/// The median of `samples` (the midpoint of the two middle ones for an even
+/// count), or `None` for an empty series.
+pub fn median_of<T: Midpoint>(samples: &[T]) -> Option<T> {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let n = sorted.len();
+    match n {
+        0 => None,
+        n if n % 2 == 1 => Some(sorted[n / 2]),
+        n => Some(sorted[n / 2 - 1].midpoint(sorted[n / 2])),
+    }
 }
 
 /// Nearest-rank percentile of an **ascending-sorted** series (`Duration::ZERO`

@@ -60,6 +60,7 @@ use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{state_key, ActorContext};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
 use crate::delivery::ResponseBatcher;
+use crate::detour::{DetourPath, Route};
 use crate::dispatch::DispatchPool;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::placement::{LiveSet, PlacementService};
@@ -243,10 +244,9 @@ pub struct ComponentCore {
     retired: Mutex<Vec<usize>>,
     actors: Mutex<HashMap<ActorRef, ActorSlot>>,
     pending_calls: Mutex<HashMap<RequestId, Sender<Arc<Payload>>>>,
-    /// Forwards whose target placement is stale: durable in the queue they
-    /// were polled from and counted as locally pending, re-admitted after
-    /// the next placement repair or timer tick (see `ComponentCore::forward`).
-    unresolved_forwards: Mutex<Vec<RequestMessage>>,
+    /// Sends and forwards whose target placement is stale, kept in issue
+    /// order per target (see `crate::detour`).
+    detours: DetourPath,
     deferred: Mutex<HashMap<RequestId, Vec<RequestMessage>>>,
     /// Response ids seen by this component. Aged out alongside queue
     /// retention: a response old enough to leave the set has also expired
@@ -384,7 +384,7 @@ impl ComponentCore {
             retired: Mutex::new(Vec::new()),
             actors: Mutex::new(HashMap::new()),
             pending_calls: Mutex::new(HashMap::new()),
-            unresolved_forwards: Mutex::new(Vec::new()),
+            detours: DetourPath::default(),
             deferred: Mutex::new(HashMap::new()),
             seen_responses: Mutex::new(AgingSet::new(bookkeeping_interval)),
             inflight: Mutex::new(HashSet::new()),
@@ -435,8 +435,8 @@ impl ComponentCore {
 
     pub(crate) fn resume(&self) {
         self.placement.clear_cache();
-        // The repair that just landed is what unresolved forwards wait for.
-        self.readmit_unresolved_forwards();
+        // The repair that just landed is what held requests wait for.
+        self.release_detours();
         // Conservative state-cache refresh after recovery: clean entries are
         // dropped (cheap to reload); entries with buffered writes belong to
         // invocations still executing here — placement never moves an actor
@@ -499,7 +499,7 @@ impl ComponentCore {
         self.state_cache.invalidate_all();
         // Dropping the senders wakes every client thread blocked on a call.
         self.pending_calls.lock().clear();
-        self.unresolved_forwards.lock().clear();
+        self.detours.clear();
         self.deferred.lock().clear();
         self.inflight.lock().clear();
         // Buffered (not yet appended) completions die with the process; the
@@ -590,10 +590,7 @@ impl ComponentCore {
             .inflight
             .try_lock()
             .map(|inflight| sorted(inflight.iter().copied().collect()));
-        let unresolved_forwards = self
-            .unresolved_forwards
-            .try_lock()
-            .map(|held| sorted(held.iter().map(|r| r.id).collect()));
+        let unresolved_forwards = self.detours.try_held_ids().map(sorted);
         let blocked_calls = self
             .pending_calls
             .try_lock()
@@ -685,10 +682,9 @@ impl ComponentCore {
     /// component (used by reconciliation to decide whether a copy found in a
     /// failed queue is superseded or must be re-homed).
     pub(crate) fn locally_pending(&self, id: RequestId) -> bool {
-        // Held forwards first: re-admission moves them into the pool's
-        // pending set before releasing this lock, so checking in this order
-        // cannot miss one in transit.
-        if self.unresolved_forwards.lock().iter().any(|r| r.id == id) {
+        // Held requests first: a release appends them to their owner's
+        // queue before un-holding them, so none is missed in transit.
+        if self.detours.holds(id) {
             return true;
         }
         // Polled off the queue but not yet admitted to an actor slot: without
@@ -734,49 +730,73 @@ impl ComponentCore {
     /// Resolves the target actor's placement and appends a fresh request to
     /// the hosting component's queue, durable when this returns. Never
     /// waits: when the placement is stale (it names a failed component that
-    /// reconciliation has not repaired yet) or resolution hit a transient
-    /// store failure, the request is appended to this component's own home
+    /// reconciliation has not repaired yet), resolution hit a transient
+    /// store failure, or an earlier send to the same actor is still on this
+    /// detour, the request is appended to this component's own home
     /// partition instead, keyed by the target actor. Admission polls it back
     /// and forwards it (see [`ComponentCore::forward`]), so the request
-    /// chases the placement from a queue, not from a waiting frame.
+    /// chases the placement from a queue, not from a waiting frame, and
+    /// never overtakes an earlier send (see `crate::detour`).
     pub(crate) fn send_request(&self, message: RequestMessage) -> KarResult<()> {
         if !self.is_alive() {
             return Err(KarError::Killed { component: self.id });
         }
-        let owner = match self.placement.resolve_nowait(&message.target) {
-            Ok(Some(component)) => component,
-            Err(error) if !error.is_transient() => return Err(error),
-            Ok(None) | Err(_) => self.id,
-        };
-        self.send_request_to(owner, message)
+        if !self.detours.has_line(&message.target) {
+            match self.placement.resolve_nowait(&message.target) {
+                Ok(Some(owner)) => return self.send_request_to(owner, message),
+                Err(error) if !error.is_transient() => return Err(error),
+                Ok(None) | Err(_) => {}
+            }
+        }
+        let (target, id) = (message.target.clone(), message.id);
+        self.detours.enter(&target, id);
+        let sent = self.send_request_to(self.id, message);
+        if sent.is_err() {
+            self.detours.leave(&target, id);
+        }
+        sent
     }
 
     /// Forwards a request admission found owned elsewhere to its owner's
-    /// queue. A placement that still cannot be resolved holds the request in
-    /// `unresolved_forwards` — it is durable in the queue it was polled
-    /// from, and `locally_pending` counts it — until a placement repair
-    /// (`resume`) or the next timer tick re-admits it; it is never
-    /// re-appended. A non-transient failure (no host for the type, or this
-    /// component fenced) drops it: a live owner of the queue copy drives the
-    /// retry.
+    /// queue. A request behind an older one to the same actor, or one whose
+    /// placement still cannot be resolved, is held — durable in the queue
+    /// it was polled from, and `locally_pending` counts it — until a
+    /// placement repair (`resume`) or the next timer tick releases it
+    /// (`release_detours`). A non-transient failure (no host for the type,
+    /// or this component fenced) drops it: a live owner of the queue copy
+    /// drives the retry.
     fn forward(&self, request: RequestMessage) {
-        match self.placement.resolve_nowait(&request.target) {
+        let Some(request) = self.detours.hold_if_waiting(request) else {
+            return;
+        };
+        let (target, id) = (request.target.clone(), request.id);
+        match self.placement.resolve_nowait(&target) {
             Ok(Some(owner)) => {
-                let _ = self.send_request_to(owner, request);
+                let sent = self.send_request_to(owner, request);
+                // Re-appended to this queue, it keeps its place in line.
+                if owner != self.id || sent.is_err() {
+                    self.detours.leave(&target, id);
+                }
             }
-            Err(error) if !error.is_transient() => {}
-            Ok(None) | Err(_) => self.unresolved_forwards.lock().push(request),
+            Err(error) if !error.is_transient() => self.detours.leave(&target, id),
+            Ok(None) | Err(_) => self.detours.hold(request),
         }
     }
 
-    /// Hands every held forward back to the dispatch pool, where admission
-    /// resolves its placement again. The list stays locked until the pool's
-    /// pending set holds every id (see `locally_pending`).
-    fn readmit_unresolved_forwards(&self) {
-        let mut held = self.unresolved_forwards.lock();
-        if !held.is_empty() {
-            self.pool.submit_batch(std::mem::take(&mut *held));
-        }
+    /// Sends every held request whose placement now resolves to its owner's
+    /// queue, oldest first per actor; the rest stay held. Only resolves and
+    /// appends: a released request is not admitted again here unless its
+    /// actor was re-placed onto this component.
+    fn release_detours(&self) {
+        self.detours.release(
+            self.id,
+            |target| match self.placement.resolve_nowait(target) {
+                Ok(Some(owner)) => Route::To(owner),
+                Err(error) if !error.is_transient() => Route::Drop,
+                Ok(None) | Err(_) => Route::Wait,
+            },
+            |owner, request| self.send_request_to(owner, request).is_ok(),
+        );
     }
 
     /// Appends `message` to `component`'s queue, hashed by actor key over
@@ -1125,6 +1145,11 @@ impl ComponentCore {
         if self.completed.lock().contains(&request.id) || self.inflight.lock().contains(&request.id)
         {
             return Admission::Done;
+        }
+        // Behind an older request to the same actor on the stale-placement
+        // detour: `forward` holds it in line (see `crate::detour`).
+        if self.detours.must_wait(&request) {
+            return Admission::Forward(request);
         }
         // Retry-orchestration gate: a *scheduled* retry copy (attempt ≥ 1)
         // waits out its next-fire deadline in the delayed heap and spends a
@@ -2114,7 +2139,12 @@ impl ComponentCore {
             };
             let id = request.id;
             let target = request.target.clone();
-            let run = match self.admit_request(request) {
+            let admission = self.admit_request(request);
+            if !matches!(admission, Admission::Forward(_)) {
+                // Admitted here or dropped: off the detour line, if on one.
+                self.detours.leave(&target, id);
+            }
+            let run = match admission {
                 Admission::Run(request, holds_lock) => Some((request, holds_lock)),
                 // Forward while the id is still pending admission, so
                 // reconciliation always finds the request pending here,
@@ -2187,8 +2217,8 @@ impl ComponentCore {
             self.wakeup.notify();
         }
         // Repairs made without a local cache clear (a placement rewritten
-        // when a fresh component joins) reach held forwards within a tick.
-        self.readmit_unresolved_forwards();
+        // when a fresh component joins) reach held requests within a tick.
+        self.release_detours();
         self.sweep_orphan_responses(now);
         self.sweep_retirement();
         self.sweep_passivation(now);

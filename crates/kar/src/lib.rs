@@ -77,6 +77,7 @@ pub mod config;
 pub mod context;
 pub mod continuation;
 mod delivery;
+mod detour;
 mod dispatch;
 pub mod faults;
 pub mod mesh;

@@ -451,8 +451,10 @@ impl Mesh {
         let id = ComponentId::from_raw(raw);
         // Allocate the next contiguous home partition range and register it
         // in the broker's assignment table and the mesh topology. Components
-        // hosting no actor types only ever receive responses, so their range
-        // is sized by the (possibly narrower) client knob.
+        // hosting no actor types receive responses, plus the few requests a
+        // stale placement detours through their own queue (see
+        // `crate::detour`), so their range is sized by the (possibly
+        // narrower) client knob: the detour needs only the keyed routing.
         let count = if hosted.is_empty() {
             self.inner.config.effective_client_partitions()
         } else {

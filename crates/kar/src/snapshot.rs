@@ -150,7 +150,8 @@ pub struct ComponentSnapshot {
     pub deferred_on_callee: Option<Vec<(RequestId, Vec<RequestId>)>>,
     /// Requests currently executing, sorted.
     pub inflight: Option<Vec<RequestId>>,
-    /// Forwards held until a stale placement is repaired, sorted.
+    /// Requests held on the stale-placement detour, waiting for a repair
+    /// or behind an older request to the same actor, sorted.
     pub unresolved_forwards: Option<Vec<RequestId>>,
     /// Client calls blocked waiting for their response, sorted.
     pub blocked_calls: Option<Vec<RequestId>>,
@@ -421,7 +422,7 @@ impl fmt::Display for ComponentSnapshot {
         writeln!(f, "  inflight: {}", held(&self.inflight, id))?;
         writeln!(
             f,
-            "  forwards awaiting placement repair: {}",
+            "  requests held on the stale-placement detour: {}",
             held(&self.unresolved_forwards, id)
         )?;
         writeln!(

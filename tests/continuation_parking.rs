@@ -272,6 +272,7 @@ impl Actor for Target {
 
 /// Sends one request of each fresh-send shape to `Target/x`. Each shape
 /// runs on its own `Sender` actor: a parked caller keeps its actor locked.
+/// `tell` records its first argument, or `"tell"` without one.
 struct Sender {
     journal: Journal,
 }
@@ -281,12 +282,13 @@ impl Actor for Sender {
         &mut self,
         ctx: &mut ActorContext<'_>,
         method: &str,
-        _args: &[Value],
+        args: &[Value],
     ) -> KarResult<Outcome> {
         let x = ActorRef::new("Target", "x");
         match method {
             "tell" => {
-                ctx.tell(&x, "record", vec![Value::from("tell")])?;
+                let tag = args.first().cloned().unwrap_or(Value::from("tell"));
+                ctx.tell(&x, "record", vec![tag])?;
                 Ok(Outcome::value("told"))
             }
             "call" => {
@@ -417,4 +419,92 @@ fn stale_placement_sends_wait_in_a_queue_not_on_the_reactor() {
     }
     assert_eq!(held(), 0);
     mesh.shutdown();
+}
+
+#[test]
+fn stale_placement_detours_keep_per_caller_order_across_the_repair() {
+    // The repair lands X on the sender's own component (the held tell is
+    // re-appended to its queue) or on a third one (it is forwarded there).
+    for repair_onto_sender in [true, false] {
+        let mesh = Mesh::new(
+            MeshConfig::for_tests()
+                .with_reactor_threads(1)
+                .with_dispatch_workers(1),
+        );
+        let journal: Journal = Arc::default();
+        let target = |journal: &Journal| {
+            let journal = Arc::clone(journal);
+            move || -> Box<dyn Actor> {
+                Box::new(Target {
+                    journal: Arc::clone(&journal),
+                })
+            }
+        };
+        let victim = mesh.add_component(mesh.add_node(), "victim", |c| {
+            c.host("Target", target(&journal))
+        });
+        let sender_journal = Arc::clone(&journal);
+        let survivor = mesh.add_component(mesh.add_node(), "survivor", |c| {
+            c.host("Target", target(&journal)).host("Sender", move || {
+                Box::new(Sender {
+                    journal: Arc::clone(&sender_journal),
+                })
+            })
+        });
+        let third = mesh.add_component(mesh.add_node(), "third", |c| {
+            c.host("Target", target(&journal))
+        });
+        let client = mesh.client();
+        let store = mesh.store();
+        let x = ActorRef::new("Target", "x");
+        let place = |on| {
+            store.admin_set(
+                &kar::placement::placement_key(&x),
+                kar::placement::component_to_value(on),
+            );
+        };
+        mesh.kill_component(victim);
+        assert!(mesh.wait_for_recoveries(1, Duration::from_secs(10)));
+        place(victim);
+
+        // The first tell is held on the survivor: X's placement is stale.
+        let sender = ActorRef::new("Sender", "s");
+        let tell = |tag: &str| {
+            assert_eq!(
+                client
+                    .call(&sender, "tell", vec![Value::from(tag)])
+                    .unwrap(),
+                Value::from("told")
+            );
+        };
+        tell("first");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while mesh
+            .snapshot()
+            .component(survivor)
+            .and_then(|c| c.unresolved_forwards.clone())
+            .map_or(0, |ids| ids.len())
+            == 0
+        {
+            assert!(Instant::now() < deadline, "the first tell was never held");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // Repair X in the store only (no cache clear: the held tell waits
+        // for the next tick), then tell X again from the same actor. The
+        // second tell resolves at once, yet must commit after the first.
+        place(if repair_onto_sender { survivor } else { third });
+        tell("second");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while journal.lock().unwrap().len() < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            *journal.lock().unwrap(),
+            vec!["first".to_owned(), "second".to_owned()],
+            "per-caller order broken (repair onto the sender: {repair_onto_sender})"
+        );
+        mesh.shutdown();
+    }
 }
